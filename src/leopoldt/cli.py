@@ -1,13 +1,16 @@
 """Batch driver: character ingestion, command dispatch, JSON/CSV reports.
 
 Exit codes: 0 = all checks passed / invariants certified, 2 = honest
-indeterminacy (escalation budget exhausted), 1 = failure or bad input.
+indeterminacy (escalation budget exhausted), 1 = failure, bad input or a
+resource refusal.
 Reports are deterministic for a fixed configuration and seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import random
 import sys
@@ -16,6 +19,7 @@ from .padic import PadicInt, is_odd_prime
 from .ring import RingElem, op_derivative, op_isotypic, op_unit_part
 from .characters import (
     DirichletCharacter,
+    ResourceGuardError,
     ThetaCharacter,
     character_from_omega_exponents,
     trivial_character,
@@ -32,7 +36,8 @@ def _padic_json(x: PadicInt) -> dict:
 def _emit(doc: dict, args) -> None:
     doc = {"schema": SCHEMA, **doc}
     if args.format == "csv":
-        lines = []
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
 
         def flatten(prefix, obj):
             if isinstance(obj, dict):
@@ -42,10 +47,10 @@ def _emit(doc: dict, args) -> None:
                 for i, v in enumerate(obj):
                     flatten(f"{prefix}[{i}]", v)
             else:
-                lines.append(f"{prefix},{obj}")
+                writer.writerow([prefix, str(obj)])
 
         flatten("", doc)
-        text = "\n".join(lines) + "\n"
+        text = buf.getvalue()
     else:
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if args.out:
@@ -309,7 +314,8 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.fn(args)
-    except (ValueError, ArithmeticError, OSError, KeyError) as exc:
+    except (ValueError, ArithmeticError, OSError, KeyError,
+            ResourceGuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -37,7 +37,13 @@ from .characters import (
     lp_value,
     enumerate_even_theta,
 )
-from .ratfun import RatFuncFp, CriterionVerdict, rat_fp, sym_poly_criterion
+from .ratfun import (
+    RatFuncFp,
+    CriterionVerdict,
+    rat_fp,
+    sym_poly_criterion,
+    taylor_shift,
+)
 
 MAX_RING_SIZE = 10**5
 
@@ -94,11 +100,17 @@ def _geometric_inverse_view(p: int, n: int, m: int, d: int) -> tuple[int, ...]:
 
 
 def _mul_short_cyclic(view, short, p: int, n: int) -> list[int]:
-    """Cyclic product of a dense binomial view with a short x-polynomial."""
+    """Cyclic product of a dense binomial view with a short x-polynomial.
+
+    The short polynomial is first folded mod x**Q - 1, so it may be longer
+    than the view (conductor d > Q in f_chi)."""
     q = len(view)
     pn = p**n
-    out = [0] * q
+    folded = [0] * min(len(short), q)
     for i, c in enumerate(short):
+        folded[i % q] += c
+    out = [0] * q
+    for i, c in enumerate(folded):
         if c % pn:
             cc = c % pn
             for a, v in enumerate(view):
@@ -367,18 +379,6 @@ def cyclotomic_poly(d: int) -> list[int]:
     return poly
 
 
-def _x_poly_to_t_poly(coeffs: list[int], p: int) -> list[int]:
-    """Rewrite sum c_a x**a with x = 1+T as a polynomial in T over F_p."""
-    out = [0]
-    xpow = [1]
-    for c in coeffs:
-        if c % p:
-            out = [(a + c * b) % p for a, b in
-                   zip(out + [0] * (len(xpow) - len(out)), xpow)]
-        xpow = [(u + v) % p for u, v in zip([0] + xpow, xpow + [0])]
-    return out
-
-
 def f_chi_bar(chi: DirichletCharacter) -> RatFuncFp:
     """Reduction of F_chi mod p as an exact rational function over F_p."""
     p, d = chi.p, chi.d
@@ -386,15 +386,14 @@ def f_chi_bar(chi: DirichletCharacter) -> RatFuncFp:
         raise ValueError("conductor must be >= 2")
     num_x = [0] + [chi.residue(a) for a in range(1, d + 1)]
     den_x = [1] + [0] * (d - 1) + [-1]  # 1 - x**d
-    return rat_fp(_x_poly_to_t_poly(num_x, p), _x_poly_to_t_poly(den_x, p), p)
+    return rat_fp(taylor_shift(num_x, 1, p), taylor_shift(den_x, 1, p), p)
 
 
 def g_c_bar(p: int, c: int) -> RatFuncFp:
     """Reduction mod p of the conductor-one surrogate G_c = x h_c(x) / S_c(x)."""
-    hc = surrogate_h_poly(c)
-    num_x = [0] + [x % p for x in hc]
+    num_x = [0] + surrogate_h_poly(c)
     den_x = [1] * c
-    return rat_fp(_x_poly_to_t_poly(num_x, p), _x_poly_to_t_poly(den_x, p), p)
+    return rat_fp(taylor_shift(num_x, 1, p), taylor_shift(den_x, 1, p), p)
 
 
 @dataclass(frozen=True)
@@ -423,12 +422,11 @@ def not_pseudorational_report(chi: DirichletCharacter, delta: int,
     p = chi.p
     if chi.d >= 2:
         fbar = f_chi_bar(chi)
-        expected = _x_poly_to_t_poly(
-            [x % p for x in cyclotomic_poly(chi.d)], p)
+        expected = taylor_shift(cyclotomic_poly(chi.d), 1, p)
         label = chi.label()
     else:
         fbar = g_c_bar(p, c)
-        expected = _x_poly_to_t_poly([1] * c, p)
+        expected = taylor_shift([1] * c, 1, p)
         label = f"G_{c} (d=1 surrogate)"
     lead = pow(expected[-1], -1, p)
     expected = tuple(x * lead % p for x in expected)

@@ -4,8 +4,9 @@ Rational functions are kept reduced with a monic denominator that does not
 vanish at T = 0, i.e. they are the rational elements of the power-series
 ring.  This is the computable side of the pseudo-rationality machinery:
 the operator D = (1+T) d/dT acts rationally, U = D**(p-1) in
-characteristic p, the involution T -> (1+T)**(-1) - 1 acts by composition,
-and the mu invariant of a rational Lambda-element is its Gauss content.
+characteristic p is the Cartier projection (see u_rat), the involution
+T -> (1+T)**(-1) - 1 acts by composition, and the mu invariant of a
+rational Lambda-element is its Gauss content.
 """
 
 from __future__ import annotations
@@ -149,6 +150,26 @@ def _pderive(F, a):
     return _trim([F.mul(F.norm(i), a[i]) for i in range(1, len(a))])
 
 
+def taylor_shift(coeffs, s: int, p: int) -> list[int]:
+    """Coefficients of P(y + s) over F_p, given those of P(y).
+
+    s = 1 rewrites a polynomial in x = 1+T as one in T; s = -1 goes back.
+    Repeated synthetic division, O(deg**2)."""
+    a = _trim([c % p for c in coeffs])
+    s %= p
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] = (a[j] + s * a[j + 1]) % p
+    return a
+
+
+def _spread(a, p: int) -> list[int]:
+    """P(y**p) from the coefficients of P(y)."""
+    out = [0] * ((len(a) - 1) * p + 1)
+    out[::p] = a
+    return out
+
+
 # -- rational functions ----------------------------------------------------
 
 
@@ -286,13 +307,28 @@ def d_rat(f):
 
 
 def u_rat(f: RatFuncFp) -> RatFuncFp:
-    """U in characteristic p: D applied p-1 times."""
+    """U = D**(p-1) in characteristic p, computed as the Cartier projection.
+
+    In x = 1+T, F_p(x) is the direct sum of the x**i F_p(x**p), i < p, and
+    D = x d/dx multiplies the i-th summand by i, so D**(p-1) drops the
+    i = 0 summand and keeps the others.  For F = A/B over F_p,
+    B(x**p) = B(x)**p, so F = A B**(p-1) / B(x**p) has its denominator in
+    F_p(x**p), and U(F) is A B**(p-1) with the exponents divisible by p
+    removed, over B(x**p).  Since (1+T)**p = 1 + T**p, B(x**p) in the
+    T-basis is den(T**p).  One exact division, one product, one reduction.
+    """
     if not isinstance(f, RatFuncFp):
         raise TypeError("U as D**(p-1) is a characteristic-p identity")
-    out = f
-    for _ in range(f.p - 1):
-        out = d_rat(out)
-    return out
+    p, F = f.p, f.field
+    a_x = taylor_shift(f.num, -1, p)
+    b_x = taylor_shift(f.den, -1, p)
+    b_pow, rem = _pdivmod(F, _spread(b_x, p), b_x)
+    if rem:
+        raise ArithmeticError("B(x**p) is not divisible by B(x)")  # pragma: no cover
+    top = _pmul(F, a_x, b_pow)
+    for i in range(0, len(top), p):
+        top[i] = 0
+    return rat_fp(taylor_shift(top, 1, p), _spread(f.den, p), p)
 
 
 def compose_inv(f):

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 from leopoldt.cli import main
@@ -102,6 +104,24 @@ def test_csv_format(capsys):
     code, out = run(capsys, "bounds", "--p", "5", "--d", "1", "--format", "csv")
     assert code == 0
     assert "results.new,4" in out
+
+
+def test_csv_quotes_labels_with_commas(tmp_path, capsys):
+    chi = tmp_path / "chi4.json"
+    chi.write_text(json.dumps({"p": 5, "d": 4, "values": {"1": 0, "3": 2}}))
+    code, out = run(capsys, "invariants", "--p", "5", "--character-file", str(chi),
+                    "--delta", "0", "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows and all(len(row) == 2 for row in rows)
+    assert ["inputs.theta", "chi[4;0,1,0,4]*omega^1"] in rows
+
+
+def test_resource_refusal_is_a_clean_error(capsys):
+    code = main(["interp-check", "--p", "101", "--theta-omega", "68", "--n", "2"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_out_file(tmp_path, capsys):

@@ -1,6 +1,11 @@
 import pytest
 
-from leopoldt.characters import ThetaCharacter, build_validate, trivial_character
+from leopoldt.characters import (
+    ThetaCharacter,
+    build_validate,
+    enumerate_even_theta,
+    trivial_character,
+)
 from leopoldt.lfunc import (
     bounds,
     cyclotomic_poly,
@@ -63,6 +68,14 @@ def test_f_chi_defining_relation():
             if r:
                 num[a % p**m] = teichmuller(r, p, n).value
         assert lhs == RingElem.from_binomial(p, n, m, num)
+
+
+def test_f_chi_conductor_above_ring_size():
+    # d = 13 > p**(m+1) = 9: the numerator wraps x**Q - 1 more than once
+    theta = next(t for t in enumerate_even_theta(3, 13) if t.chi.d == 13)
+    rep = iwasawa_invariants(theta, check_precision=2)
+    assert rep.certified
+    assert rep.checks and all(c.ok for c in rep.checks)
 
 
 def test_f_chi_u_identity():

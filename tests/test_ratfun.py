@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leopoldt.ratfun import (
     NotInPowerSeriesRingError,
@@ -17,6 +18,7 @@ from leopoldt.ratfun import (
     rat_zp,
     series_fp,
     sym_poly_criterion,
+    taylor_shift,
     to_ring_elem,
     u_rat,
 )
@@ -88,6 +90,81 @@ def test_unit_part_examples_and_truncation(rng):
         got = op_unit_part(img).coeffs
         expect = series_fp(u_rat(f), p**m)
         assert list(got) == expect
+
+
+def _u_by_derivative_loop(f):
+    # the definition U = D**(p-1): the small-p oracle for the Cartier form
+    for _ in range(f.p - 1):
+        f = d_rat(f)
+    return f
+
+
+@st.composite
+def small_p_ratfun(draw):
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    coeff = st.integers(min_value=0, max_value=p - 1)
+    num = draw(st.lists(coeff, max_size=6))
+    den = [draw(st.integers(min_value=1, max_value=p - 1))] + draw(st.lists(coeff, max_size=5))
+    shape = draw(st.sampled_from(["random", "one_plus_t_power", "frobenius"]))
+    if shape == "one_plus_t_power":
+        den = [1]
+        for _ in range(draw(st.integers(min_value=0, max_value=4))):
+            den = _mul_mod_p(den, [1, 1], p)
+    elif shape == "frobenius":
+        # F(x) = A(x**p) / B(x**p) with x = 1+T lies in F_p(x**p): U(F) = 0
+        num = taylor_shift(_spread_x(taylor_shift(num, -1, p), p), 1, p)
+        den = taylor_shift(_spread_x(taylor_shift(den, -1, p), p), 1, p)
+    return rat_fp(num, den, p), shape
+
+
+def _spread_x(a, p):
+    out = [0] * (max(len(a) - 1, 0) * p + 1)
+    for i, c in enumerate(a):
+        out[i * p] = c
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_p_ratfun())
+def test_u_cartier_matches_derivative_loop(case):
+    f, shape = case
+    u = u_rat(f)
+    assert u == _u_by_derivative_loop(f)
+    if shape == "frobenius":
+        assert rat_is_zero(u)
+
+
+def test_u_cartier_edge_cases():
+    for p in (3, 5, 7, 11, 13):
+        zero = rat_fp([], [1], p)
+        assert u_rat(zero) == zero == _u_by_derivative_loop(zero)
+        for c in range(p):
+            assert rat_is_zero(u_rat(rat_fp([c], [1], p)))
+        # 1/(1+T)**k = x**(-k): U keeps it exactly when p does not divide k
+        for k in range(1, 2 * p + 1):
+            den = [1]
+            for _ in range(k):
+                den = _mul_mod_p(den, [1, 1], p)
+            f = rat_fp([1], den, p)
+            assert u_rat(f) == (rat_fp([], [1], p) if k % p == 0 else f)
+            assert u_rat(f) == _u_by_derivative_loop(f)
+    with pytest.raises(TypeError):
+        u_rat(rat_zp([1], [1], 5))
+
+
+def test_u_cartier_large_p_witness():
+    # out of reach of the D**(p-1) loop: p = 101, the quadratic character
+    # mod 3 (odd, so delta = 0 fails the criterion)
+    from leopoldt.characters import enumerate_even_theta
+    from leopoldt.lfunc import cyclotomic_poly, not_pseudorational_report
+    p = 101
+    chi = next(t.chi for t in enumerate_even_theta(p, 3) if t.chi.d == 3)
+    rep = not_pseudorational_report(chi, 0)
+    assert rep.not_pseudorational
+    witness = rep.criterion.witness
+    assert not is_one_plus_t_denominator(rat_fp([1], witness, p)).holds
+    phi3 = taylor_shift(cyclotomic_poly(3), 1, p)
+    assert rat_fp(witness, phi3, p).den == (1,)  # Phi_3(1+T) divides it
 
 
 def test_compose_inv():
