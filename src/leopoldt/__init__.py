@@ -5,23 +5,16 @@ lambda/mu invariants."""
 
 from .padic import (
     PadicInt,
-    PrecisionPlan,
     iwasawa_log,
     kappa_exponent,
-    make_plan,
     teichmuller,
-    valuation_split,
 )
 from .ring import (
-    BinomialView,
     InvariantReport,
     RingElem,
-    basis_convert,
-    change_kappa,
     decompose_t_power,
     evaluate,
     exponent_moment,
-    from_view,
     ideal_zero,
     invariants,
     invert_unit,
@@ -38,7 +31,6 @@ from .ratfun import (
     RatFuncZp,
     compose_inv,
     d_rat,
-    gauss_mu,
     mu_gamma_formula,
     rat_fp,
     rat_zp,

@@ -223,6 +223,7 @@ def _sum_gammas(f: RingElem, deltas) -> RingElem:
 
 
 def cmd_selftest(args) -> int:
+    lfunc.require_ring_size(args.p, args.m)
     results = _selftest_identities(args.p, args.seed, args.n, args.m, args.cases)
     doc = {
         "command": "selftest",

@@ -48,6 +48,15 @@ from .ratfun import (
 MAX_RING_SIZE = 10**5
 
 
+def require_ring_size(p: int, e: int) -> None:
+    """Refuse a ring of p**e coefficients above MAX_RING_SIZE, or e < 0,
+    before anything is allocated (p**e itself is not formed for large e)."""
+    if e < 0:
+        raise ValueError(f"omega-level {e} is negative")
+    if e >= MAX_RING_SIZE.bit_length() or p**e > MAX_RING_SIZE:
+        raise ValueError(f"{p}**{e} coefficients exceed size bound {MAX_RING_SIZE}")
+
+
 def euler_phi(n: int) -> int:
     out = n
     f = 2
@@ -203,8 +212,7 @@ def iwasawa_series(theta: ThetaCharacter, n: int, m: int,
     d = chi.d
     delta = theta.delta
     kappa = 1 + p * d
-    if p ** (m + 1) > MAX_RING_SIZE:
-        raise ValueError(f"p**(m+1) = {p**(m+1)} exceeds size bound {MAX_RING_SIZE}")
+    require_ring_size(p, m + 1)
     if d >= 2:
         src = f_chi(chi, n, m + 1)
     else:

@@ -132,36 +132,6 @@ class PadicInt:
         return f"{self.value} (mod {self.p}^{self.precision})"
 
 
-@dataclass(frozen=True)
-class PrecisionPlan:
-    """Working precisions for a computation targeting R(target_n, target_m).
-
-    guard is the number of extra p-adic digits used in internal logarithm
-    and division steps; it must be at least ceil(log_p(target_m + 2)) + 1.
-    """
-
-    p: int
-    target_n: int
-    target_m: int
-    guard: int
-
-    def __post_init__(self) -> None:
-        need = default_guard(self.p, self.target_m)
-        if self.guard < need:
-            raise ValueError(f"guard {self.guard} below required {need}")
-
-
-def default_guard(p: int, target_m: int) -> int:
-    e = 0
-    while p**e < target_m + 2:
-        e += 1
-    return e + 1
-
-
-def make_plan(p: int, target_n: int, target_m: int) -> PrecisionPlan:
-    return PrecisionPlan(p, target_n, target_m, default_guard(p, target_m))
-
-
 def teichmuller(a: int | PadicInt, p: int | None = None, precision: int | None = None) -> PadicInt:
     """The unique (p-1)-th root of unity congruent to a mod p.
 
@@ -185,23 +155,6 @@ def teichmuller_table(p: int, precision: int) -> tuple[int, ...]:
     q = p**precision
     e = p ** (precision - 1)
     return (0,) + tuple(pow(r, e, q) for r in range(1, p))
-
-
-def valuation_split(x: int, p: int, precision: int) -> tuple[int, PadicInt | None]:
-    """Write x = p**v * unit mod p**precision.
-
-    Returns (v, unit) with v < precision, or (precision, None) when
-    x = 0 mod p**precision (the caller reads this as "v >= precision").
-    """
-    q = p**precision
-    x %= q
-    if x == 0:
-        return precision, None
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v, PadicInt(p, precision - v, x)
 
 
 def _log_series(x: int, p: int, w: int) -> int:

@@ -5,8 +5,8 @@ vanish at T = 0, i.e. they are the rational elements of the power-series
 ring.  This is the computable side of the pseudo-rationality machinery:
 the operator D = (1+T) d/dT acts rationally, U = D**(p-1) in
 characteristic p is the Cartier projection (see u_rat), the involution
-T -> (1+T)**(-1) - 1 acts by composition, and the mu invariant of a
-rational Lambda-element is its Gauss content.
+T -> (1+T)**(-1) - 1 acts by composition, and mu of Gamma_delta(F) is
+read off the content of exact truncations (see mu_gamma_formula).
 """
 
 from __future__ import annotations
@@ -285,12 +285,6 @@ def rat_sub(f, g):
     return rat_add(f, rat_scale(g, -1))
 
 
-def rat_mul(f, g):
-    F = f.field
-    return _remake(f, _pmul(F, list(f.num), list(g.num)),
-                   _pmul(F, list(f.den), list(g.den)))
-
-
 def rat_is_zero(f) -> bool:
     return not f.num
 
@@ -355,19 +349,6 @@ def compose_inv(f):
         return acc
 
     return _remake(f, subst(list(f.num)), subst(list(f.den)))
-
-
-def gauss_mu(f: RatFuncZp) -> int:
-    """mu(F) for rational F in the power-series ring, by Gauss's lemma:
-    the content of the numerator minus the content of the denominator."""
-    if rat_is_zero(f):
-        raise ValueError("mu of 0 is infinite")
-    vnum = min(_vp_fraction(c, f.p) for c in f.num if c != 0)
-    vden = min(_vp_fraction(c, f.p) for c in f.den if c != 0)
-    mu = vnum - vden
-    if mu < 0:
-        raise ValueError("element is not in the power-series ring over Z_p")
-    return mu
 
 
 def series_fp(f: RatFuncFp, count: int) -> list[int]:

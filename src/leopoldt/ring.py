@@ -4,16 +4,19 @@ Here omega_m(T) = (1+T)**(p**m) - 1; the ideals (p^n, omega_m) form a
 neighbourhood basis of zero in Z_p[[T]], so these quotients are where all
 exact computation happens.
 
-An element keeps its canonical monomial coefficients (degree < p**m,
-entries mod p**n) and lazily caches its coordinates in the binomial basis
-{(1+T)**a : 0 <= a < p**m}.  The monomial form exposes the Weierstrass
-data; the binomial form makes the exponent-space operators exact:
+An element is stored by its coordinates in the binomial basis
+{(1+T)**a : 0 <= a < p**m}, entries mod p**n.  Every operator of the
+calculus is an exponent map there:
 
 * substitution  sigma_a : F(T) -> F((1+T)**a - 1)     permutes exponents,
 * derivative    D = (1+T) d/dT                        multiplies b_a by a,
 * projector     U                                     keeps unit exponents,
 * isotypic      gamma_delta                           averages over mu_{p-1},
 * Leopoldt      Gamma_delta                           maps level m to m-1.
+
+The monomial coefficients (the canonical representative of degree
+< p**m, which carries the Weierstrass data) are computed only where they
+are read: `coeffs`, invariant certification and the series report.
 
 Everything is pure and exact at the stated precision; where an operator
 genuinely loses precision (D, whose multiplier is only known mod p**m) the
@@ -48,11 +51,12 @@ class ContextMismatchError(ValueError):
 
 
 class RingElem:
-    """Element of R(n, m), canonical monomial representative of degree < p**m."""
+    """Element of R(n, m), stored as its binomial view b (F = sum b_a (1+T)**a)."""
 
-    __slots__ = ("p", "n", "m", "_mono", "_bin")
+    __slots__ = ("p", "n", "m", "_bin")
 
     def __init__(self, p: int, n: int, m: int, coeffs, _binomial=None):
+        """The class of sum coeffs[k] T**k; at most p**m coefficients."""
         if not is_odd_prime(p):
             raise ValueError(f"p must be an odd prime, got {p}")
         if n < 1 or m < 0:
@@ -62,40 +66,30 @@ class RingElem:
         self.m = m
         q = p**m
         pn = p**n
-        if coeffs is not None:
+        if _binomial is None:
             c = [x % pn for x in coeffs]
             if len(c) > q:
                 raise ValueError(f"{len(c)} coefficients exceeds p**m = {q}")
-            c.extend([0] * (q - len(c)))
-            self._mono: tuple[int, ...] | None = tuple(c)
-        else:
-            self._mono = None
-        if _binomial is not None:
-            b = [x % pn for x in _binomial]
-            if len(b) != q:
-                raise ValueError("binomial view must have length p**m")
-            self._bin: tuple[int, ...] | None = tuple(b)
-        else:
-            self._bin = None
-        if self._mono is None and self._bin is None:
-            raise ValueError("need monomial or binomial coefficients")
-
-    # -- representations ---------------------------------------------------
+            while c and c[-1] == 0:
+                c.pop()
+            _binomial = _coeffs_to_binomial(c, q, pn)
+        b = tuple(x % pn for x in _binomial)
+        if len(b) != q:
+            raise ValueError("binomial view must have length p**m")
+        self._bin = b
 
     @classmethod
     def from_binomial(cls, p: int, n: int, m: int, b) -> "RingElem":
-        return cls(p, n, m, None, _binomial=list(b))
+        """The class of sum b[a] (1+T)**a; exactly p**m entries."""
+        return cls(p, n, m, None, _binomial=b)
 
     @property
     def coeffs(self) -> tuple[int, ...]:
-        if self._mono is None:
-            self._mono = _binomial_to_monomial(self.p, self.n, self.m, self._bin)
-        return self._mono
+        """Monomial coefficients of the canonical representative, O(Q^2)."""
+        return _binomial_to_coeffs(self._bin, self.p**self.n)
 
     @property
     def binomial(self) -> tuple[int, ...]:
-        if self._bin is None:
-            self._bin = _monomial_to_binomial(self.p, self.n, self.m, self._mono)
         return self._bin
 
     # -- ring structure ----------------------------------------------------
@@ -108,43 +102,32 @@ class RingElem:
 
     def __add__(self, other: "RingElem") -> "RingElem":
         self._require_same(other)
-        if self._bin is not None and other._bin is not None and self._mono is None:
-            return RingElem.from_binomial(
-                self.p, self.n, self.m,
-                [a + b for a, b in zip(self._bin, other._bin)])
-        return RingElem(self.p, self.n, self.m,
-                        [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return RingElem.from_binomial(self.p, self.n, self.m,
+                                      [a + b for a, b in zip(self._bin, other._bin)])
 
     def __sub__(self, other: "RingElem") -> "RingElem":
         return self + other.scale(-1)
 
     def __mul__(self, other: "RingElem") -> "RingElem":
         self._require_same(other)
-        b = _cyclic_convolve(self.binomial, other.binomial, self.p, self.n)
+        b = _cyclic_convolve(self._bin, other._bin, self.p, self.n)
         return RingElem.from_binomial(self.p, self.n, self.m, b)
 
     def scale(self, c: int) -> "RingElem":
-        if self._mono is not None:
-            el = RingElem(self.p, self.n, self.m, [c * x for x in self._mono])
-            if self._bin is not None:
-                el._bin = tuple((c * x) % self.p**self.n for x in self._bin)
-            return el
-        return RingElem.from_binomial(self.p, self.n, self.m,
-                                      [c * x for x in self._bin])
+        return RingElem.from_binomial(self.p, self.n, self.m, [c * x for x in self._bin])
 
     def __eq__(self, other) -> bool:
+        # the basis change is a bijection, so the binomial view decides
         if not isinstance(other, RingElem):
             return NotImplemented
         return ((self.p, self.n, self.m) == (other.p, other.n, other.m)
-                and self.coeffs == other.coeffs)
+                and self._bin == other._bin)
 
     def __hash__(self) -> int:
-        return hash((self.p, self.n, self.m, self.coeffs))
+        return hash((self.p, self.n, self.m, self._bin))
 
     def is_zero(self) -> bool:
-        # the basis change is a bijection, so either view decides
-        src = self._mono if self._mono is not None else self._bin
-        return all(x == 0 for x in src)
+        return not any(self._bin)
 
     def reduce(self, n: int | None = None, m: int | None = None) -> "RingElem":
         """Image in R(n', m') for n' <= n, m' <= m (fold exponents, drop digits)."""
@@ -154,18 +137,17 @@ class RingElem:
             raise PrecisionError("reduce cannot increase precision")
         if (n2, m2) == (self.n, self.m):
             return self
-        b = _fold_binomial(self.binomial, self.p, m2)
+        b = _fold_binomial(self._bin, self.p, m2)
         return RingElem.from_binomial(self.p, n2, m2, b)
 
     def constant_term(self) -> int:
-        """F(0) mod p**n."""
-        if self._mono is not None:
-            return self._mono[0]
+        """F(0) = sum b_a mod p**n."""
         return sum(self._bin) % self.p**self.n
 
     def __repr__(self) -> str:
-        head = ", ".join(str(c) for c in self.coeffs[:6])
-        tail = ", ..." if len(self.coeffs) > 6 else ""
+        coeffs = self.coeffs
+        head = ", ".join(str(c) for c in coeffs[:6])
+        tail = ", ..." if len(coeffs) > 6 else ""
         return f"RingElem(p={self.p}, n={self.n}, m={self.m}, [{head}{tail}])"
 
 
@@ -187,75 +169,47 @@ def monomial(p: int, n: int, m: int, degree: int, c: int = 1) -> RingElem:
     return RingElem(p, n, m, coeffs)
 
 
-def binomial_power(p: int, n: int, m: int, a: int, c: int = 1) -> RingElem:
-    """c * (1+T)**a, exponent folded mod p**m."""
-    q = p**m
-    b = [0] * q
-    b[a % q] = c
-    return RingElem.from_binomial(p, n, m, b)
-
-
-@dataclass(frozen=True)
-class BinomialView:
-    """Coordinates of a ring element in the basis {(1+T)**a : a < p**m}."""
-
-    p: int
-    n: int
-    m: int
-    b: tuple[int, ...]
-
-
-def basis_convert(f: RingElem) -> BinomialView:
-    return BinomialView(f.p, f.n, f.m, f.binomial)
-
-
-def from_view(view: BinomialView) -> RingElem:
-    return RingElem.from_binomial(view.p, view.n, view.m, view.b)
-
-
 # -- basis change --------------------------------------------------------
 #
 # (1+T)**a = sum_k C(a,k) T**k and T**k = sum_a C(k,a)(-1)**(k-a) (1+T)**a;
 # both matrices are unitriangular, so the transforms below are exact
-# inverses over Z/p**n.  They run in O(Q^2) with a single Pascal row kept
-# in memory.
+# inverses over Z/p**n, and exact identities of polynomials of degree < Q.
+# They run in O(L^2) for L = 1 + the last nonzero index, with a single
+# Pascal row kept in memory.
 
 
-def _binomial_to_monomial(p: int, n: int, m: int, b) -> tuple[int, ...]:
-    q = p**m
-    pn = p**n
+def _binomial_to_coeffs(b, pn: int) -> tuple[int, ...]:
+    q = len(b)
+    length = max((a + 1 for a, ba in enumerate(b) if ba), default=0)
     out = [0] * q
-    row = [0] * q  # binomial coefficients C(a, k) for current a
-    for a in range(q):
+    row = [0] * length  # binomial coefficients C(a, k) for current a
+    for a in range(length):
         if a == 0:
             row[0] = 1
         else:
-            for k in range(min(a, q - 1), 0, -1):
+            for k in range(a, 0, -1):
                 row[k] = (row[k] + row[k - 1]) % pn
         ba = b[a]
         if ba:
-            for k in range(min(a, q - 1) + 1):
+            for k in range(a + 1):
                 out[k] = (out[k] + ba * row[k]) % pn
     return tuple(out)
 
 
-def _monomial_to_binomial(p: int, n: int, m: int, c) -> tuple[int, ...]:
-    q = p**m
-    pn = p**n
+def _coeffs_to_binomial(c, q: int, pn: int) -> list[int]:
     out = [0] * q
-    row = [0] * q  # signed binomials C(k, a)(-1)**(k-a) for current k
-    for k in range(q):
+    row = [0] * len(c)  # signed binomials C(k, a)(-1)**(k-a) for current k
+    for k, ck in enumerate(c):
         if k == 0:
             row[0] = 1
         else:
             for a in range(k, 0, -1):
                 row[a] = (row[a - 1] - row[a]) % pn
             row[0] = (-row[0]) % pn
-        ck = c[k]
         if ck:
             for a in range(k + 1):
                 out[a] = (out[a] + ck * row[a]) % pn
-    return tuple(out)
+    return out
 
 
 def _cyclic_convolve(a, b, p: int, n: int) -> list[int]:
@@ -482,22 +436,6 @@ def op_leopoldt(f: RingElem, delta: int, kappa: int) -> RingElem:
     return RingElem.from_binomial(p, n, m - 1, out)
 
 
-def change_kappa(f: RingElem, kappa: int, kappa2: int) -> RingElem:
-    """Rebase a Leopoldt-transform output from generator kappa to kappa2.
-
-    This is sigma_u with u = Log_p(kappa)/Log_p(kappa2), a unit, so the
-    certified Weierstrass data of f is unchanged.
-    """
-    p, m = f.p, f.m
-    require_generator(kappa, p)
-    require_generator(kappa2, p)
-    from .padic import kappa_exponent
-
-    prec = max(m, 1) + 1
-    u = kappa_exponent(PadicInt(p, prec, kappa), PadicInt(p, prec, kappa2), max(m, 1))
-    return substitute_exp(f, u.value)
-
-
 # -- predicates and invariants -------------------------------------------
 
 
@@ -546,6 +484,7 @@ def invariants(f: RingElem) -> InvariantReport:
 def evaluate(f: RingElem, t: PadicInt) -> PadicInt:
     """F(t) for v_p(t) >= 1; the result is valid mod p**min(n, m+1).
 
+    Horner in x = 1+t over the binomial view, F(t) = sum b_a x**a.
     omega_m(t) has valuation >= m+1 on p*Z_p, so the class of F only
     determines the value to that precision.
     """
@@ -559,9 +498,9 @@ def evaluate(f: RingElem, t: PadicInt) -> PadicInt:
         raise PrecisionError(f"need t mod p^{out_prec}")
     pn = p**n
     acc = 0
-    tv = t.value % pn
-    for c in reversed(f.coeffs):
-        acc = (acc * tv + c) % pn
+    x = (1 + t.value) % pn
+    for ba in reversed(f.binomial):
+        acc = (acc * x + ba) % pn
     return PadicInt(p, out_prec, acc)
 
 

@@ -130,3 +130,18 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     doc = json.loads(target.read_text())
     assert doc["results"]["new"] == "4"
+
+
+def test_selftest_refuses_oversized_ring_before_allocating(monkeypatch, capsys):
+    # 157**5 random ints would be about 9.6e10: refuse before building any
+    from leopoldt import cli
+
+    def never(*args):
+        raise AssertionError("selftest started on a ring above the size bound")
+
+    monkeypatch.setattr(cli, "_selftest_identities", never)
+    for m in ("5", "-1"):
+        code = main(["selftest", "--p", "157", "--m", m])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err

@@ -6,13 +6,10 @@ from leopoldt.padic import (
     NotAUnitError,
     PadicInt,
     PrecisionError,
-    PrecisionPlan,
     iwasawa_log,
     kappa_exponent,
-    make_plan,
     teichmuller,
     teichmuller_table,
-    valuation_split,
 )
 
 
@@ -134,20 +131,6 @@ def test_kappa_must_generate():
         kappa_exponent(PadicInt(5, 4, 6), PadicInt(5, 4, 26), 2)  # 26 = 1 mod 25
     with pytest.raises(NotAGeneratorError):
         kappa_exponent(PadicInt(5, 4, 6), PadicInt(5, 4, 7), 2)
-
-
-def test_valuation_split():
-    assert valuation_split(50, 5, 3) == (2, PadicInt(5, 1, 2))
-    assert valuation_split(3, 5, 3) == (0, PadicInt(5, 3, 3))
-    assert valuation_split(125, 5, 3) == (3, None)
-    assert valuation_split(0, 7, 4) == (4, None)
-
-
-def test_precision_plan_guard():
-    plan = make_plan(5, 3, 4)
-    assert plan.guard >= 2
-    with pytest.raises(ValueError):
-        PrecisionPlan(5, 3, 4, 0)
 
 
 def test_teichmuller_table_matches_pointwise():

@@ -1,19 +1,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leopoldt.padic import NotAUnitError, PadicInt, PrecisionError
+from leopoldt.padic import NotAUnitError, PadicInt, PrecisionError, kappa_exponent
 from leopoldt.ring import (
-    BinomialView,
     ContextMismatchError,
     RingElem,
     _solve_binomial_inverse,
-    basis_convert,
-    binomial_power,
-    change_kappa,
     decompose_t_power,
     evaluate,
     exponent_moment,
-    from_view,
     ideal_zero,
     invariants,
     invert_unit,
@@ -31,6 +26,13 @@ from conftest import brute_force_from_binomial, omega_poly, random_elem, random_
 
 P, N, M = 5, 2, 2
 KAPPA = 6
+
+
+def x_power(p, n, m, a, c=1):
+    """c * (1+T)**a, exponent folded mod p**m, built from its binomial view."""
+    b = [0] * p**m
+    b[a % p**m] = c
+    return RingElem.from_binomial(p, n, m, b)
 
 
 def test_constructor_canonicalizes():
@@ -51,7 +53,7 @@ def test_basis_convert_examples():
 def test_basis_roundtrip_random(rng):
     for _ in range(25):
         f = random_monomial_elem(rng, P, N, M)
-        assert from_view(basis_convert(f)).coeffs == f.coeffs
+        assert RingElem.from_binomial(P, N, M, f.binomial).coeffs == f.coeffs
         g = random_elem(rng, P, N, M)
         assert RingElem.from_binomial(P, N, M, g.binomial).coeffs == g.coeffs
 
@@ -67,8 +69,8 @@ def test_binomial_view_against_bruteforce(rng):
 
 def test_mul_examples():
     q = P**M
-    a = binomial_power(P, N, M, q - 1)
-    b = binomial_power(P, N, M, 1)
+    a = x_power(P, N, M, q - 1)
+    b = x_power(P, N, M, 1)
     assert a * b == ring_one(P, N, M)
     t = monomial(P, N, M, 1)
     s = RingElem.from_binomial(P, N, M, [1] * q)
@@ -79,15 +81,20 @@ def test_mul_examples():
         f * ring_one(P, N, M + 1)
 
 
+def _schoolbook_cyclic(a, b, pn):
+    q = len(a)
+    out = [0] * q
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[(i + j) % q] += x * y
+    return tuple(v % pn for v in out)
+
+
 def test_mul_matches_bruteforce(rng):
     for _ in range(10):
         f = random_elem(rng, 5, 2, 2)
         g = random_elem(rng, 5, 2, 2)
-        prod = [0] * 25
-        for i, x in enumerate(f.binomial):
-            for j, y in enumerate(g.binomial):
-                prod[(i + j) % 25] += x * y
-        assert (f * g).binomial == tuple(x % 25 for x in prod)
+        assert (f * g).binomial == _schoolbook_cyclic(f.binomial, g.binomial, 25)
 
 
 def test_invert_unit():
@@ -118,8 +125,8 @@ def test_solve_binomial_inverse_matches_newton(rng):
 
 
 def test_substitute_exp():
-    f = binomial_power(P, N, M, 2)
-    assert substitute_exp(f, -1) == binomial_power(P, N, M, P**M - 2)
+    f = x_power(P, N, M, 2)
+    assert substitute_exp(f, -1) == x_power(P, N, M, P**M - 2)
     g = RingElem(P, N, M, [1, 2, 3, 4])
     assert substitute_exp(g, 1) == g
     assert substitute_exp(substitute_exp(g, 2), 3) == substitute_exp(g, 6)
@@ -131,56 +138,57 @@ def test_derivative():
     # D(T) = 1 + T
     t = monomial(P, N, M, 1)
     dt = op_derivative(t)
-    assert dt == binomial_power(P, min(N, M), M, 1)
+    assert dt == x_power(P, min(N, M), M, 1)
     # D((1+T)^a) = a (1+T)^a
     for a in (0, 1, 7, 24):
-        f = binomial_power(P, N, M, a)
-        assert op_derivative(f) == binomial_power(P, min(N, M), M, a, a)
+        f = x_power(P, N, M, a)
+        assert op_derivative(f) == x_power(P, min(N, M), M, a, a)
     assert op_derivative(t).n == min(N, M)
 
 
 def test_unit_part():
     assert op_unit_part(ring_one(P, N, M)).is_zero()
-    lt = binomial_power(P, N, M, 1)
+    lt = x_power(P, N, M, 1)
     assert op_unit_part(lt) == lt
-    f = binomial_power(P, N, M, P)
+    f = x_power(P, N, M, P)
     assert op_unit_part(f).is_zero()
 
 
 def test_gamma_example_p5():
-    f = binomial_power(5, 1, 1, 1)
+    f = x_power(5, 1, 1, 1)
     g = op_isotypic(f, 0)
     inv4 = pow(4, -1, 5)
     assert list(g.binomial) == [0] + [inv4] * 4
 
 
+def _isotypic_reference(b, p, n, m, delta):
+    # the scatter definition, with Teichmuller lifts omega(r) = r**(p**(k-1))
+    q, pn = p**m, p**n
+    out = [0] * q
+    for r in range(1, p):
+        coef = pow(pow(r, p ** (n - 1), pn), delta, pn)
+        mult = pow(r, p ** (m - 1), q)
+        for a, ba in enumerate(b):
+            out[mult * a % q] += coef * ba
+    inv = pow(p - 1, -1, pn)
+    return tuple(x * inv % pn for x in out)
+
+
 def test_numpy_and_python_paths_agree(rng):
     # q = 125 >= 64 triggers the vector path; compare against a handmade loop
     p, n, m = 5, 2, 3
-    q = p**m
-    from leopoldt.padic import teichmuller_table
-    tei_n = teichmuller_table(p, n)
-    tei_m = teichmuller_table(p, m)
     for _ in range(5):
         f = random_elem(rng, p, n, m)
         for delta in (0, 1, 3):
-            got = op_isotypic(f, delta)
-            pn = p**n
-            out = [0] * q
-            for r in range(1, p):
-                coef = pow(tei_n[r], delta, pn)
-                mult = tei_m[r] % q
-                for a, ba in enumerate(f.binomial):
-                    out[(mult * a) % q] = (out[(mult * a) % q] + coef * ba) % pn
-            inv = pow(p - 1, -1, pn)
-            assert list(got.binomial) == [(x * inv) % pn for x in out]
+            assert op_isotypic(f, delta).binomial == _isotypic_reference(
+                f.binomial, p, n, m, delta)
 
 
 def test_leopoldt_transform_examples():
     p, n, m = 5, 3, 3
     assert op_leopoldt(ring_one(p, n, m), 2, KAPPA).is_zero()
-    f = binomial_power(p, n, m, KAPPA)
-    assert op_leopoldt(f, 0, KAPPA) == binomial_power(p, n, m - 1, 1)
+    f = x_power(p, n, m, KAPPA)
+    assert op_leopoldt(f, 0, KAPPA) == x_power(p, n, m - 1, 1)
     with pytest.raises(ValueError):
         op_leopoldt(ring_one(p, n, 0), 0, KAPPA)
 
@@ -223,7 +231,7 @@ def test_evaluate():
     assert evaluate(f, t).value == 10
     # (1+T)^a at kappa^s - 1 equals kappa^(a s)
     for a, s in [(3, 1), (7, 2)]:
-        f = binomial_power(p, n, m, a)
+        f = x_power(p, n, m, a)
         ks = PadicInt(p, 3, pow(KAPPA, s, 125) - 1)
         assert evaluate(f, ks).value == pow(KAPPA, a * s, 125)
     # omega_j vanishes to order j+1 on pZ_p; result precision is min(n, m+1)
@@ -237,7 +245,7 @@ def test_evaluate():
 
 def test_exponent_moment():
     p, n, m = 5, 3, 3
-    f = binomial_power(p, n, m, 7)
+    f = x_power(p, n, m, 7)
     out_mod = p ** min(n, m)
     for k in (0, 1, 5):
         assert exponent_moment(f, k).value == pow(7, k, out_mod)
@@ -276,22 +284,29 @@ def test_interpolation_congruence(rng):
 
 
 def test_change_kappa_identity_and_invariants(rng):
+    # rebasing Gamma_delta from kappa to kappa2 is sigma_u with
+    # u = Log_p(kappa)/Log_p(kappa2), which keeps the Weierstrass data
     p, n, m = 5, 3, 3
     kappa2 = 11
+
+    def rebase(f, kappa, kappa2):
+        u = kappa_exponent(PadicInt(p, m + 1, kappa), PadicInt(p, m + 1, kappa2), m)
+        return substitute_exp(f, u)
+
     for _ in range(8):
         f = random_elem(rng, p, n, m)
         for delta in (0, 1, 2):
             lhs = op_leopoldt(f, delta, kappa2)
-            rhs = change_kappa(op_leopoldt(f, delta, KAPPA), KAPPA, kappa2)
+            rhs = rebase(op_leopoldt(f, delta, KAPPA), KAPPA, kappa2)
             assert lhs == rhs
     for _ in range(10):
         f = random_elem(rng, p, n, m)
-        g = change_kappa(f, KAPPA, kappa2)
+        g = rebase(f, KAPPA, kappa2)
         a, b = invariants(f), invariants(g)
         assert a.verdict == b.verdict
         if a.certified:
             assert (a.mu_certified, a.lambda_certified) == (b.mu_certified, b.lambda_certified)
-    assert change_kappa(f, KAPPA, KAPPA) == f
+    assert rebase(f, KAPPA, KAPPA) == f
 
 
 @settings(max_examples=40, deadline=None)
@@ -370,8 +385,75 @@ def test_reduce_images():
     assert list(g.binomial) == folded
 
 
-def test_binomial_view_type():
-    f = RingElem(5, 2, 1, [1, 2, 3])
-    v = basis_convert(f)
-    assert isinstance(v, BinomialView)
-    assert from_view(v) == f
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_storage_differential(data):
+    # the stored binomial view against monomial input, the brute-force basis
+    # change and a monomial Horner evaluation kept only here
+    p = data.draw(st.sampled_from((3, 5, 7)))
+    n = data.draw(st.integers(min_value=1, max_value=3))
+    m = data.draw(st.integers(min_value=0, max_value=2))
+    q, pn = p**m, p**n
+    digits = st.integers(min_value=0, max_value=pn - 1)
+    c = data.draw(st.lists(digits, max_size=q))
+    f = RingElem(p, n, m, c)
+    assert f.coeffs == tuple(c) + (0,) * (q - len(c))
+    b = data.draw(st.lists(digits, min_size=q, max_size=q))
+    g = RingElem.from_binomial(p, n, m, b)
+    mono = brute_force_from_binomial(p, n, m, b)
+    h = RingElem(p, n, m, mono)
+    assert g == h and hash(g) == hash(h)
+    assert g.coeffs == mono
+    assert (f == g) == (f.coeffs == mono)
+    t = p * data.draw(st.integers(min_value=0, max_value=pn - 1))
+    out_prec = min(n, m + 1)
+    for elem, coeffs in ((f, f.coeffs), (g, mono)):
+        acc = 0
+        for x in reversed(coeffs):
+            acc = (acc * t + x) % pn
+        val = evaluate(elem, PadicInt(p, n, t))
+        assert val.precision == out_prec
+        assert val.value == acc % p**out_prec
+
+
+def _near_top(rng, pn, q):
+    return [pn - 1 - rng.randrange(3) for _ in range(q)]
+
+
+@pytest.mark.parametrize("p, m", [(3, 4), (5, 3)])
+def test_mul_int64_boundary(rng, monkeypatch, p, m):
+    # the numpy path of * runs while q*(p**n - 1)**2 < 2**62: compare it at
+    # the last p**n it admits, and the exact path at the first one it refuses
+    import leopoldt.ring as ring
+
+    q = p**m
+    n = 1
+    while q * (p ** (n + 1) - 1) ** 2 < 2**62:
+        n += 1
+    calls = []
+    convolve = ring.np.convolve
+    monkeypatch.setattr(ring.np, "convolve", lambda *a: calls.append(1) or convolve(*a))
+    for n2, fast in ((n, True), (n + 1, False)):
+        pn = p**n2
+        cases = [([pn - 1] * q, [pn - 1] * q)]
+        cases += [(_near_top(rng, pn, q), [rng.randrange(pn) for _ in range(q)])
+                  for _ in range(3)]
+        for a, b in cases:
+            calls.clear()
+            got = RingElem.from_binomial(p, n2, m, a) * RingElem.from_binomial(p, n2, m, b)
+            assert got.binomial == _schoolbook_cyclic(a, b, pn)
+            assert bool(calls) == fast
+
+
+@pytest.mark.parametrize("p, n, m", [(3, 19, 4), (7, 11, 3)])
+def test_isotypic_int64_boundary(rng, p, n, m):
+    # p**n just below 2**31 (numpy path) and the next power (exact path);
+    # at p = 7, delta = 1 the int64 sum overflows without its reductions
+    q = p**m
+    assert p**n < 2**31 < p ** (n + 1)
+    for n2 in (n, n + 1):
+        pn = p**n2
+        b = _near_top(rng, pn, q)
+        f = RingElem.from_binomial(p, n2, m, b)
+        for delta in (0, 1, p - 2):
+            assert op_isotypic(f, delta).binomial == _isotypic_reference(b, p, n2, m, delta)
