@@ -4,22 +4,18 @@ A character of conductor d (p not dividing d) taking values in the
 (p-1)-th roots of unity is stored by residues: chi(a) is the Teichmuller
 lift of a recorded unit r_a mod p, so the table of r_a determines the
 character at every precision.  Generalized Bernoulli numbers are computed
-as p-adic limits of the sums (1/(d p^N)) sum_{a<=d p^N} chi(a) a^k, which
-avoids exact rational Bernoulli arithmetic; two guard digits make the
-limit error analysis elementary.
+exactly from the classical Bernoulli numbers B_j, which are built once in
+integers over a common von Staudt denominator, and the power sums
+sum_{a<=d} chi(a) a**i; only the final value is reduced mod p**N.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
-
-import numpy as np
+from math import gcd, prod
 
 from .padic import PadicInt, is_odd_prime, teichmuller, teichmuller_table
-
-RESOURCE_GUARD = 10**8
 
 
 class CharacterTableError(ValueError):
@@ -27,15 +23,11 @@ class CharacterTableError(ValueError):
 
 
 class ResourceGuardError(RuntimeError):
-    """A limit sum would exceed the configured resource guard."""
+    """An exact Bernoulli computation would exceed its admission bounds."""
 
 
 class NonIntegralError(ArithmeticError):
-    """A limit sum was unexpectedly not divisible by the required p-power."""
-
-    def __init__(self, msg: str, achieved_precision: int):
-        super().__init__(msg)
-        self.achieved_precision = achieved_precision
+    """A value that must be p-integral to be returned mod p**N is not."""
 
 
 @dataclass(frozen=True)
@@ -287,100 +279,85 @@ def enumerate_even_theta(p: int, d: int) -> list[ThetaCharacter]:
 # -- Bernoulli numbers and L-values ----------------------------------------
 
 
-def _vec_powmod_sum(lo: int, hi: int, k: int, mod: int,
-                    d: int, chi_mod: list[int] | None) -> int:
-    """sum_{a=lo}^{hi-1} chi(a) a**k mod `mod`, vectorized when safe."""
-    if mod <= 2**31 and hi - lo >= 1024:
-        total = 0
-        chunk = 1 << 20
-        cvals = np.array(chi_mod, dtype=np.int64) if chi_mod is not None else None
-        for start in range(lo, hi, chunk):
-            stop = min(start + chunk, hi)
-            a = np.arange(start, stop, dtype=np.int64)
-            acc = np.ones_like(a)
-            base = a % mod
-            e = k
-            while e:
-                if e & 1:
-                    acc = acc * base % mod
-                base = base * base % mod
-                e >>= 1
-            if cvals is not None:
-                acc = acc * cvals[a % d] % mod
-            total += int(acc.sum())
-        return total % mod
-    if mod <= 2**40 and hi - lo >= 1024:
-        total = 0
-        chunk = 1 << 20
-        cvals = np.array(chi_mod, dtype=np.int64) if chi_mod is not None else None
+# The exact route costs O(k**2) big-integer operations to grow the B_j table
+# to index k and O(d*k) modular products for the power sums; both are
+# admitted or refused before any work starts.
+BERNOULLI_INDEX_LIMIT = 2000
+RESOURCE_GUARD = 10**7
 
-        def mulmod(x, y):
-            hi_part, lo_part = x >> 20, x & ((1 << 20) - 1)
-            return (hi_part * ((y << 20) % mod) + lo_part * y) % mod
-
-        for start in range(lo, hi, chunk):
-            stop = min(start + chunk, hi)
-            a = np.arange(start, stop, dtype=np.int64)
-            acc = np.ones_like(a)
-            base = a % mod
-            e = k
-            while e:
-                if e & 1:
-                    acc = mulmod(acc, base)
-                base = mulmod(base, base)
-                e >>= 1
-            if cvals is not None:
-                acc = mulmod(acc, cvals[a % d])
-            s = 0
-            for blk in range(0, stop - start, 1 << 21):
-                s += int(acc[blk:blk + (1 << 21)].sum())
-            total += s
-        return total % mod
-    total = 0
-    for a in range(lo, hi):
-        c = 1 if chi_mod is None else chi_mod[a % d]
-        if c:
-            total += c * pow(a, k, mod)
-    return total % mod
+# B_j = _BERNOULLI_NUM[j] / _bernoulli_den (B_1 = -1/2) over the product of the
+# primes q <= len(_BERNOULLI_NUM), which clears every B_j by von Staudt-Clausen.
+_BERNOULLI_NUM = [2, -1]
+_bernoulli_den = 2
 
 
-def bernoulli_chi(chi: DirichletCharacter, k: int, precision: int,
-                  guard: int = 2) -> PadicInt:
+def _bernoulli_table(k: int) -> tuple[int, list[int]]:
+    """(D, numerators) with B_j = numerators[j] / D for every j <= k, grown on
+    demand in integers by sum_{j<=n} C(n+1, j) B_j = 0 (n >= 1)."""
+    global _bernoulli_den
+    num = _BERNOULLI_NUM
+    if len(num) > k:
+        return _bernoulli_den, num
+    scale = prod(q for q in range(len(num) + 1, k + 2) if is_odd_prime(q))
+    num[:] = [b * scale for b in num]
+    _bernoulli_den *= scale
+    for n in range(len(num), k + 1):
+        if n % 2:
+            num.append(0)
+            continue
+        s, c = 0, 1  # c = C(n+1, j)
+        for j in range(n):
+            if num[j]:
+                s += c * num[j]
+            c = c * (n + 1 - j) // (j + 1)
+        num.append(-s // (n + 1))
+    return _bernoulli_den, num
+
+
+def bernoulli_chi(chi: DirichletCharacter, k: int, precision: int) -> PadicInt:
     """Generalized Bernoulli number B_{k,chi} mod p**precision.
 
-    Computed as the p-adic limit (1/(d p^N)) sum_{a=1}^{d p^N} chi(a) a**k
-    with N = precision + guard, everything mod p**(precision + N); the
-    divisibility of the sum by p**N is checked at run time.  Returns exact
-    0 on parity mismatch (except the classical d=1, k=1 case).
+    Exact route (Washington, Prop. 4.1): B_{k,chi} = d**(k-1) sum_{a<=d}
+    chi(a) B_k(a/d); expanding B_k(x) and swapping the sums gives
+
+        B_{k,chi} = sum_j C(k, j) B_j d**(j-1) S_{k-j},  S_i = sum_{a<=d} chi(a) a**i.
+
+    By von Staudt-Clausen every term has v_p >= -1, so p*B_{k,chi} is summed
+    mod p**(precision+1) and NonIntegralError is raised when it is not
+    divisible by p.  d = 1 gives B_k, with B_{1,1} = +1/2.  Returns exact 0
+    on parity mismatch (except that d = 1, k = 1 case).
     """
     p, d = chi.p, chi.d
-    if k < 0 or precision < 1 or guard < 2:
-        raise ValueError("need k >= 0, precision >= 1, guard >= 2")
+    if k < 0 or precision < 1:
+        raise ValueError("need k >= 0 and precision >= 1")
     parity = -1 if chi.is_odd() else 1
     if parity != (-1) ** (k % 2) and not (d == 1 and k == 1):
         return PadicInt(p, precision, 0)
-    n_lim = precision + guard
-    if d * p**n_lim > RESOURCE_GUARD:
-        raise ResourceGuardError(
-            f"limit sum length {d * p**n_lim} exceeds guard {RESOURCE_GUARD}")
-    big = precision + n_lim
-    mod = p**big
-    if d == 1:
-        chi_mod = None
-    else:
-        tei = teichmuller_table(p, big)
-        chi_mod = [tei[r] if r else 0 for r in chi.residues]
-    s = _vec_powmod_sum(1, d * p**n_lim + 1, k, mod, d, chi_mod)
-    v = 0
-    x = s
-    while x and x % p == 0 and v < n_lim:
-        x //= p
-        v += 1
-    if s != 0 and v < n_lim:
-        raise NonIntegralError(
-            f"limit sum has valuation {v} < {n_lim}", achieved_precision=big - n_lim + v)
-    b = (s // p**n_lim) * pow(d, -1, p**precision)
-    return PadicInt(p, precision, b)
+    if k > BERNOULLI_INDEX_LIMIT or d * (k + 1) > RESOURCE_GUARD:
+        raise ResourceGuardError(f"B_({k},chi) for d = {d} exceeds the index limit "
+                                 f"{BERNOULLI_INDEX_LIMIT} or {RESOURCE_GUARD} power-sum terms")
+    mod = p ** (precision + 1)
+    tei = teichmuller_table(p, precision + 1)
+    sums = [0] * (k + 1)
+    for a in range(1, d + 1):
+        c = tei[chi.residue(a)]
+        if c:
+            for i in range(k + 1):
+                sums[i] += c
+                c = c * a % mod
+    den, num = _bernoulli_table(k)
+    # p * B_j = num[j] * p / den, where den has at most one factor p
+    p_over_den = pow(den // p, -1, mod) if den % p == 0 else p * pow(den, -1, mod)
+    total, binom, d_pow = 0, 1, pow(d, -1, mod)  # C(k, j) and d**(j-1)
+    for j in range(k + 1):
+        if num[j]:
+            total += binom * (num[j] % mod) * d_pow % mod * sums[k - j]
+        binom = binom * (k - j) // (j + 1)
+        d_pow = d_pow * d % mod
+    total = total * p_over_den % mod
+    if total % p:
+        raise NonIntegralError(f"B_({k},chi) is not {p}-integral")
+    return PadicInt(p, precision, total // p)
 
 
 def lp_value(theta: ThetaCharacter, k: int, precision: int) -> PadicInt:
@@ -402,7 +379,6 @@ def lp_value(theta: ThetaCharacter, k: int, precision: int) -> PadicInt:
     euler = (1 - chi_p * pow(p, k, mod)) % mod if k < work else 1
     num = (-euler * bern.value) % mod
     if num % p**v_k1 != 0:
-        raise NonIntegralError("L-value numerator not divisible by v_p(k+1)",
-                               achieved_precision=work - v_k1)
+        raise NonIntegralError("L-value numerator not divisible by v_p(k+1)")
     out = (num // p**v_k1) * pow(k1, -1, p**precision)
     return PadicInt(p, precision, out)

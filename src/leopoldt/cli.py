@@ -224,6 +224,7 @@ def _sum_gammas(f: RingElem, deltas) -> RingElem:
 
 def cmd_selftest(args) -> int:
     lfunc.require_ring_size(args.p, args.m)
+    lfunc.require_precision(args.p, args.n)
     results = _selftest_identities(args.p, args.seed, args.n, args.m, args.cases)
     doc = {
         "command": "selftest",
@@ -310,10 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if not is_odd_prime(args.p):
-        print(f"error: p = {args.p} is not an odd prime", file=sys.stderr)
-        return 1
     try:
+        if not is_odd_prime(args.p):
+            raise ValueError(f"p = {args.p} is not an odd prime")
         return args.fn(args)
     except (ValueError, ArithmeticError, OSError, KeyError,
             ResourceGuardError) as exc:

@@ -8,7 +8,7 @@ with sigma_{-1}.  The result is the series f(T, theta) with
 
     f(kappa**(-k) - 1, theta) = L_p(-k, theta),   kappa = 1 + p d,
 
-which is checked against independently computed Bernoulli limit sums.
+which is checked against independently computed exact Bernoulli numbers.
 Invariant certification escalates the omega-level until the canonical
 representative shows a unit coefficient.
 """
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 
 from .padic import PadicInt, kappa_exponent, teichmuller
 from .ring import (
@@ -46,6 +47,10 @@ from .ratfun import (
 )
 
 MAX_RING_SIZE = 10**5
+# Coefficients are carried mod p**n; a modulus of more bits is refused.
+MAX_MODULUS_BITS = 256
+# The bounds are exact integers of about phi(p-1) * log2(4p(p-1)) bits.
+MAX_BOUND_BITS = 2**14
 
 
 def require_ring_size(p: int, e: int) -> None:
@@ -55,6 +60,16 @@ def require_ring_size(p: int, e: int) -> None:
         raise ValueError(f"omega-level {e} is negative")
     if e >= MAX_RING_SIZE.bit_length() or p**e > MAX_RING_SIZE:
         raise ValueError(f"{p}**{e} coefficients exceed size bound {MAX_RING_SIZE}")
+
+
+def require_precision(p: int, n: int) -> None:
+    """Refuse a coefficient modulus p**n above 2**MAX_MODULUS_BITS, or n < 1,
+    before anything is allocated (p**n itself is not formed for large n)."""
+    if n < 1:
+        raise ValueError(f"precision {n} is not positive")
+    if n > MAX_MODULUS_BITS or p**n > 2**MAX_MODULUS_BITS:
+        raise ValueError(
+            f"modulus {p}**{n} exceeds size bound 2**{MAX_MODULUS_BITS}")
 
 
 def euler_phi(n: int) -> int:
@@ -212,6 +227,7 @@ def iwasawa_series(theta: ThetaCharacter, n: int, m: int,
     d = chi.d
     delta = theta.delta
     kappa = 1 + p * d
+    require_precision(p, n)
     require_ring_size(p, m + 1)
     if d >= 2:
         src = f_chi(chi, n, m + 1)
@@ -244,7 +260,11 @@ def bounds(p: int, d: int) -> dict[str, int]:
     earlier bound, and the derived bound for the cyclotomic field."""
     if d % p == 0:
         raise ValueError("d must be prime to p")
-    phi_pm1 = euler_phi(p - 1)
+    width = (4 * p * (p - 1)).bit_length()
+    # phi(n) >= sqrt(n/2) refuses a huge p before p-1 is factored
+    if (isqrt((p - 1) // 2) * width > MAX_BOUND_BITS
+            or (phi_pm1 := euler_phi(p - 1)) * width > MAX_BOUND_BITS):
+        raise ValueError(f"lambda bounds for p = {p} exceed {MAX_BOUND_BITS} bits")
     base = (p - 1) // 2 * euler_phi(d)
     return {
         "new": base**phi_pm1,
@@ -281,10 +301,10 @@ class IwasawaSeriesReport:
 
 def interpolation_selfcheck(theta: ThetaCharacter, ks, n: int,
                             f: RingElem | None = None) -> list[InterpolationCheck]:
-    """Compare f(kappa**(-k) - 1) against the Bernoulli-sum L-value mod p**n.
+    """Compare f(kappa**(-k) - 1) against the exact Bernoulli L-value mod p**n.
 
     The two sides travel independent routes: the left through the operator
-    pipeline and Horner evaluation, the right through limit sums.
+    pipeline and Horner evaluation, the right through exact Bernoulli numbers.
     """
     p = theta.p
     kappa = 1 + p * theta.chi.d

@@ -25,14 +25,25 @@ class NotAGeneratorError(ValueError):
     """kappa is not a topological generator of 1 + p*Z_p."""
 
 
+# Miller-Rabin with the first 13 prime bases decides primality below this
+# bound (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_DETERMINISTIC_BOUND = 3317044064679887385961981
+
+
+@lru_cache(maxsize=256)
 def is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    """Deterministic Miller-Rabin; ValueError above MR_DETERMINISTIC_BOUND."""
+    if p < 3 or any(p % q == 0 for q in _MR_BASES):
+        return p in _MR_BASES[1:]
+    if p >= MR_DETERMINISTIC_BOUND:
+        raise ValueError(f"primality of {p} is not decided above {MR_DETERMINISTIC_BOUND}")
+    r = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = 2**r * odd
+    for a in _MR_BASES:
+        # a**(odd * 2**i), i < r: for a prime p the first is 1 or one is p - 1
+        powers = [pow(a, (p - 1) >> (r - i), p) for i in range(r)]
+        if powers[0] != 1 and p - 1 not in powers:
             return False
-        f += 2
     return True
 
 

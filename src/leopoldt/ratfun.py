@@ -139,13 +139,6 @@ def _pgcd_monic(F, a, b):
     return a
 
 
-def _peval(F, a, x):
-    acc = F.zero
-    for c in reversed(a):
-        acc = F.add(F.mul(acc, x), c)
-    return acc
-
-
 def _pderive(F, a):
     return _trim([F.mul(F.norm(i), a[i]) for i in range(1, len(a))])
 
@@ -279,10 +272,6 @@ def rat_add(f, g):
 def rat_scale(f, c):
     F = f.field
     return _remake(f, _pscale(F, list(f.num), F.norm(c)), list(f.den))
-
-
-def rat_sub(f, g):
-    return rat_add(f, rat_scale(g, -1))
 
 
 def rat_is_zero(f) -> bool:

@@ -1,7 +1,11 @@
+import random
+
 import pytest
 
+from leopoldt import characters
 from leopoldt.characters import (
     CharacterTableError,
+    DirichletCharacter,
     NonIntegralError,
     ResourceGuardError,
     ThetaCharacter,
@@ -13,7 +17,34 @@ from leopoldt.characters import (
     lp_value,
     trivial_character,
 )
-from leopoldt.padic import teichmuller
+from leopoldt.padic import teichmuller, teichmuller_table
+
+
+def limit_sum_bernoulli(chi, k, precision, guard=2):
+    """B_{k,chi} mod p**precision as the p-adic limit
+    (1/(d p^N)) sum_{a <= d p^N} chi(a) a**k, N = precision + guard, or
+    NonIntegralError when the sum is not divisible by p**N.  Exponential in
+    the precision: an independent reference for small p only."""
+    p, d = chi.p, chi.d
+    parity = -1 if chi.is_odd() else 1
+    if parity != (-1) ** (k % 2) and not (d == 1 and k == 1):
+        return 0
+    n_lim = precision + guard
+    mod = p ** (precision + n_lim)
+    tei = teichmuller_table(p, precision + n_lim)
+    chi_mod = [tei[r] for r in chi.residues]
+    s = sum(chi_mod[a % d] * pow(a, k, mod)
+            for a in range(1, d * p**n_lim + 1)) % mod
+    if s % p**n_lim:
+        raise NonIntegralError(f"limit sum is not divisible by {p}**{n_lim}")
+    return (s // p**n_lim) * pow(d, -1, p**precision) % p**precision
+
+
+def _outcome(thunk):
+    try:
+        return thunk()
+    except NonIntegralError:
+        return "not p-integral"
 
 
 def test_build_validate_quadratic_mod4():
@@ -113,16 +144,68 @@ def test_bernoulli_exceptional_b1():
 
 
 def test_bernoulli_guard_stability():
+    # the reference does not depend on its guard digits
     chi3 = build_validate(3, {1: 1, 2: 4}, 5)
     for k in (1, 3, 5):
-        a = bernoulli_chi(chi3, k, 3, guard=2)
-        b = bernoulli_chi(chi3, k, 3, guard=3)
-        assert a.value == b.value
+        a = limit_sum_bernoulli(chi3, k, 3, guard=2)
+        b = limit_sum_bernoulli(chi3, k, 3, guard=3)
+        assert a == b == bernoulli_chi(chi3, k, 3).value
 
 
-def test_bernoulli_resource_guard():
+# Limit-sum terms allowed per case, and in total over the sampled grid.
+LIMIT_SUM_CASE_TERMS = 60_000
+LIMIT_SUM_BUDGET = 8_000_000
+
+
+def test_bernoulli_chi_matches_limit_sum():
+    # p <= 13, primitive chi with d <= 13, k <= 3(p-1)+1, precision 1-3:
+    # every conductor-one case (these hold the von Staudt poles) and a seeded
+    # sample of the rest within the term budget
+    cases = []
+    for p in (3, 5, 7, 11, 13):
+        for d in range(1, 14):
+            if d % p == 0:
+                continue
+            for chi in characters_mod(d, p):
+                parity = 1 if chi.is_odd() else 0
+                for k in range(3 * (p - 1) + 2):
+                    if k % 2 != parity and not (d == 1 and k == 1):
+                        continue
+                    for precision in (1, 2, 3):
+                        terms = d * p ** (precision + 2)
+                        if terms <= LIMIT_SUM_CASE_TERMS:
+                            cases.append((terms, chi, k, precision))
+    random.Random(11).shuffle(cases)
+    cases.sort(key=lambda case: case[1].d != 1)
+    spent = non_integral = compared = 0
+    for terms, chi, k, precision in cases:
+        if chi.d != 1 and spent + terms > LIMIT_SUM_BUDGET:
+            continue
+        spent += terms
+        expect = _outcome(lambda: limit_sum_bernoulli(chi, k, precision))
+        got = _outcome(lambda: bernoulli_chi(chi, k, precision).value)
+        assert got == expect, (chi, k, precision)
+        non_integral += expect == "not p-integral"
+        compared += chi.d != 1
+    assert non_integral >= 10 and compared >= 400
+
+
+def test_bernoulli_resource_guard(monkeypatch):
+    # an index above the limit, or power sums of more than RESOURCE_GUARD
+    # terms, are refused before the B_j table grows
+    def never(k):
+        raise AssertionError("the Bernoulli table grew past the admission check")
+
+    monkeypatch.setattr(characters, "_bernoulli_table", never)
     with pytest.raises(ResourceGuardError):
-        bernoulli_chi(trivial_character(101), 2, 8)
+        bernoulli_chi(trivial_character(101), 10**6, 2)
+    chi3 = build_validate(3, {1: 1, 2: 4}, 5)
+    with pytest.raises(ResourceGuardError):
+        bernoulli_chi(chi3, characters.BERNOULLI_INDEX_LIMIT + 1, 1)
+    d = characters.RESOURCE_GUARD // 1000 + 1  # a table of d units, k = 1000
+    wide = DirichletCharacter(5, d, (0,) + (1,) * (d - 1))
+    with pytest.raises(ResourceGuardError):
+        bernoulli_chi(wide, 1000, 1)
 
 
 def test_lp_value_structure():
@@ -142,7 +225,7 @@ def test_lp_value_structure():
 
 
 def test_lp_value_with_p_dividing_k_plus_one():
-    # k = 4 has k+1 = 5: the guard digit makes the division exact
+    # k = 4 has k+1 = 5: the extra digit makes the division exact
     p = 5
     chi3 = build_validate(3, {1: 1, 2: 4}, p)
     theta = ThetaCharacter(chi3, 0)

@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import time
+
+import pytest
 
 from leopoldt.cli import main
 
@@ -117,11 +120,31 @@ def test_csv_quotes_labels_with_commas(tmp_path, capsys):
     assert ["inputs.theta", "chi[4;0,1,0,4]*omega^1"] in rows
 
 
-def test_resource_refusal_is_a_clean_error(capsys):
-    code = main(["interp-check", "--p", "101", "--theta-omega", "68", "--n", "2"])
+def test_resource_refusal_is_a_clean_error(monkeypatch, capsys):
+    # a Bernoulli index above the limit is refused before the table grows
+    from leopoldt import characters
+
+    def never(k):
+        raise AssertionError("the Bernoulli table grew past the admission check")
+
+    monkeypatch.setattr(characters, "_bernoulli_table", never)
+    k = 4 * 10**6 + 1  # = delta mod p-1 for theta = omega^2 at p = 5
+    code = main(["interp-check", "--p", "5", "--theta-omega", "2", "--n", "2",
+                 "--ks", str(k)])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("p, j", [(101, 68), (157, 62)])
+def test_interp_check_irregular_theta_mod_p2(capsys, p, j):
+    # the irregular pairs (101, 68) and (157, 62) checked mod p**2
+    code, out = run(capsys, "interp-check", "--p", str(p), "--theta-omega", str(j),
+                    "--n", "2")
+    doc = json.loads(out)
+    assert code == 0
+    assert len(doc["checks"]) == 3 and all(c["ok"] for c in doc["checks"])
+    assert all(c["lhs"]["mod"] == f"{p}^2" for c in doc["checks"])
 
 
 def test_out_file(tmp_path, capsys):
@@ -143,5 +166,39 @@ def test_selftest_refuses_oversized_ring_before_allocating(monkeypatch, capsys):
     for m in ("5", "-1"):
         code = main(["selftest", "--p", "157", "--m", m])
         err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_oversized_precision_refused_before_allocating(monkeypatch, capsys):
+    # 5**3000000 has about 7 million bits: refuse before building any element
+    from leopoldt import cli, lfunc
+
+    def never(*args):
+        raise AssertionError("started on a modulus above the size bound")
+
+    monkeypatch.setattr(cli, "_selftest_identities", never)
+    monkeypatch.setattr(lfunc, "g_c_surrogate", never)
+    for argv in (["selftest", "--p", "5", "--m", "1", "--n", "3000000"],
+                 ["selftest", "--p", "5", "--n", "0"],
+                 ["series", "--p", "5", "--theta-omega", "2", "--n", "3000000"],
+                 ["invariants", "--p", "5", "--theta-omega", "2", "--n", "3000000"],
+                 ["interp-check", "--p", "5", "--theta-omega", "2", "--n", "3000000"],
+                 ["lambda-sum", "--p", "5", "--n", "3000000"]):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1, argv
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_large_and_undecided_primes_are_clean_errors(capsys):
+    # 2**61 - 1 is prime: its bounds are refused by size, without factoring;
+    # 3215031751 is a strong pseudoprime to bases 2, 3, 5 and 7; 2**89 - 1
+    # lies above the range where Miller-Rabin is deterministic
+    for p in (2**61 - 1, 3215031751, 2**89 - 1):
+        t0 = time.monotonic()
+        code = main(["bounds", "--p", str(p)])
+        err = capsys.readouterr().err
+        assert time.monotonic() - t0 < 1
         assert code == 1
         assert err.startswith("error: ") and "Traceback" not in err

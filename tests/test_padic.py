@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,6 +8,7 @@ from leopoldt.padic import (
     NotAUnitError,
     PadicInt,
     PrecisionError,
+    is_odd_prime,
     iwasawa_log,
     kappa_exponent,
     teichmuller,
@@ -26,6 +29,18 @@ def test_rejects_bad_prime_and_precision():
         PadicInt(2, 2, 1)
     with pytest.raises(ValueError):
         PadicInt(5, 0, 1)
+
+
+def test_is_odd_prime_miller_rabin():
+    small = [q for q in range(3, 158, 2) if all(q % f for f in range(3, q, 2))]
+    assert [q for q in range(-3, 158) if is_odd_prime(q)] == small
+    t0 = time.monotonic()
+    assert is_odd_prime(2**61 - 1)
+    assert time.monotonic() - t0 < 1
+    assert not is_odd_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5, 7
+    assert not is_odd_prime(3 * (2**89 - 1))
+    with pytest.raises(ValueError, match="not decided"):
+        is_odd_prime(2**89 - 1)
 
 
 def test_arithmetic_minimum_precision():
