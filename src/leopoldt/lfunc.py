@@ -16,10 +16,11 @@ representative shows a unit coefficient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import isqrt
 
-from .padic import PadicInt, kappa_exponent, teichmuller
+import numpy as np
+
+from .padic import PadicInt, kappa_exponent, teichmuller, teichmuller_table
 from .ring import (
     InvariantReport,
     RingElem,
@@ -51,6 +52,8 @@ MAX_RING_SIZE = 10**5
 MAX_MODULUS_BITS = 256
 # The bounds are exact integers of about phi(p-1) * log2(4p(p-1)) bits.
 MAX_BOUND_BITS = 2**14
+# phi(d) is found by trial division; larger conductors are refused first.
+MAX_CONDUCTOR = 10**6
 
 
 def require_ring_size(p: int, e: int) -> None:
@@ -89,96 +92,29 @@ def euler_phi(n: int) -> int:
 # -- generating series ------------------------------------------------------
 
 
-@lru_cache(maxsize=32)
-def _geometric_inverse_view(p: int, n: int, m: int, d: int) -> tuple[int, ...]:
-    """Binomial view of (1 + x + ... + x**(d-1))**(-1) in R(n, m), x = 1+T.
-
-    (x-1) * sum_{j<Q} x**(jd) is exactly divisible by x**Q - 1 (Q = p**m),
-    and S_d times the quotient is sum_{i<d} x**(iQ) = d mod (x**Q - 1), so
-    the inverse is the quotient times d**(-1).  Linear time in d*Q.
-    """
-    if d % p == 0:
-        raise ValueError("d must be prime to p")
-    q = p**m
-    pn = p**n
-    deg = d * (q - 1) + 1
-    work = [0] * (deg + 1)
-    for j in range(q):
-        work[j * d] -= 1
-        work[j * d + 1] += 1
-    quot = [0] * (deg - q + 1)
-    for i in range(deg, q - 1, -1):
-        c = work[i]
-        if c:
-            quot[i - q] += c
-            work[i - q] += c
-            work[i] = 0
-    if any(work):
-        raise ArithmeticError("cyclic quotient identity failed")  # pragma: no cover
-    out = [0] * q
-    for i, c in enumerate(quot):
-        if c:
-            out[i % q] = (out[i % q] + c) % pn
-    dinv = pow(d, -1, pn)
-    return tuple((x * dinv) % pn for x in out)
-
-
-def _mul_short_cyclic(view, short, p: int, n: int) -> list[int]:
-    """Cyclic product of a dense binomial view with a short x-polynomial.
-
-    The short polynomial is first folded mod x**Q - 1, so it may be longer
-    than the view (conductor d > Q in f_chi)."""
-    q = len(view)
-    pn = p**n
-    folded = [0] * min(len(short), q)
-    for i, c in enumerate(short):
-        folded[i % q] += c
-    out = [0] * q
-    for i, c in enumerate(folded):
-        if c % pn:
-            cc = c % pn
-            for a, v in enumerate(view):
-                if v:
-                    k = a + i
-                    if k >= q:
-                        k -= q
-                    out[k] = (out[k] + cc * v) % pn
-    return out
-
-
-def _divide_out_x_minus_1(coeffs: list[int], pn: int) -> list[int]:
-    """Exact division of an x-polynomial by (x - 1) mod pn; remainder must vanish."""
-    deg = len(coeffs) - 1
-    quot = [0] * deg
-    carry = 0
-    for i in range(deg - 1, -1, -1):
-        carry = (coeffs[i + 1] + carry) % pn
-        quot[i] = carry
-    if (coeffs[0] + quot[0]) % pn != 0:
-        raise ArithmeticError("polynomial is not divisible by x - 1")
-    return quot
-
-
 def f_chi(chi: DirichletCharacter, n: int, m: int) -> RingElem:
     """The generating series of chi as an exact element of R(n, m).
 
-    F = (sum_{a<=d} chi(a) x**a) / (1 - x**d): the numerator vanishes at
-    x = 1 because chi is nontrivial, so after cancelling (x - 1) only the
-    geometric factor with unit constant term d remains to invert.
+    F = (sum_{a<=d} chi(a) x**a) / (1 - x**d), x = 1+T, is the Bernoulli
+    distribution of chi (Washington, Introduction to Cyclotomic Fields,
+    12.1): with Q = p**m its binomial view is
+    b_r = -d**(-1) * sum_{j=1}^{d-1} j chi(r + jQ), which depends on r mod d
+    only.  O(d min(d, Q)) for the distinct entries, O(Q) for the view.
     """
     p, d = chi.p, chi.d
     if d < 2:
         raise ValueError("f_chi needs conductor d >= 2 (use g_c_surrogate for d = 1)")
+    if d % p == 0:
+        raise ValueError("d must be prime to p")
+    q = p**m
     pn = p**n
-    numer = [0] * (d + 1)
-    for a in range(1, d + 1):
-        r = chi.residue(a)
-        if r:
-            numer[a] = teichmuller(r, p, n).value
-    n1 = _divide_out_x_minus_1(numer, pn)
-    inv = _geometric_inverse_view(p, n, m, d)
-    view = _mul_short_cyclic(inv, [(-c) % pn for c in n1], p, n)
-    return RingElem.from_binomial(p, n, m, view)
+    tei = teichmuller_table(p, n)
+    values = [tei[r] for r in chi.residues]  # chi(a) for a mod d, 0 off units
+    width = min(d, q)
+    scale = -pow(d, -1, pn)
+    distinct = [scale * sum(j * values[(r + j * q) % d] for j in range(1, d)) % pn
+                for r in range(width)]
+    return RingElem.from_binomial(p, n, m, np.array(distinct)[np.arange(q) % width])
 
 
 def surrogate_h_poly(c: int) -> list[int]:
@@ -195,16 +131,18 @@ def g_c_surrogate(p: int, c: int, n: int, m: int) -> RingElem:
     """G_c = F_chi - c sigma_c(F_chi) for the conductor-one F_chi = -(1+T)/T.
 
     Closed form x h_c(x) / (1 + x + ... + x**(c-1)); the denominator has
-    unit constant term c, so G_c is an exact element of R(n, m).
+    unit constant term c, so G_c is an exact element of R(n, m).  Its
+    binomial view is the Bernoulli distribution E_{1,c}(-r + Q Z_p):
+    b_r = (c-1)/2 - floor(c s / Q) with s = -c**(-1) r mod Q, Q = p**m.
     """
     if not 2 <= c <= p - 1:
         raise ValueError(f"need 2 <= c <= p-1, got c={c}")
+    q = p**m
     pn = p**n
-    inv = _geometric_inverse_view(p, n, m, c)
-    hc = [x % pn for x in surrogate_h_poly(c)]
-    view = _mul_short_cyclic(inv, hc, p, n)
-    view = [view[-1]] + view[:-1]  # multiply by x: rotate exponents up by 1
-    return RingElem.from_binomial(p, n, m, view)
+    half = (c - 1) * pow(2, -1, pn)
+    values = np.array([(half - k) % pn for k in range(c)])  # floor(c s / Q) < c
+    s = -pow(c, -1, q) * np.arange(q, dtype=np.int64) % q
+    return RingElem.from_binomial(p, n, m, values[c * s // q])
 
 
 def valid_multipliers(p: int, delta: int) -> list[int]:
@@ -260,6 +198,8 @@ def bounds(p: int, d: int) -> dict[str, int]:
     earlier bound, and the derived bound for the cyclotomic field."""
     if d % p == 0:
         raise ValueError("d must be prime to p")
+    if not 1 <= d <= MAX_CONDUCTOR:
+        raise ValueError(f"conductor d = {d} is outside 1..{MAX_CONDUCTOR}")
     width = (4 * p * (p - 1)).bit_length()
     # phi(n) >= sqrt(n/2) refuses a huge p before p-1 is factored
     if (isqrt((p - 1) // 2) * width > MAX_BOUND_BITS

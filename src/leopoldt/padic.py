@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 
 class PrecisionError(ValueError):
     """An operation needs more p-adic precision than the operand carries."""
@@ -244,26 +246,24 @@ def kappa_exponent(a: PadicInt, kappa: PadicInt, out_precision: int) -> PadicInt
 
 
 @lru_cache(maxsize=16)
-def kappa_exponent_table(p: int, level: int, kappa: int) -> tuple[int, ...]:
+def kappa_exponent_table(p: int, level: int, kappa: int) -> np.ndarray:
     """Exponents Log_p(a)/Log_p(kappa) mod p**(level-1) for all units a < p**level.
 
     Entry a is 0 for non-units.  Used to apply the Leopoldt transform on
     whole coefficient vectors; the output precision level-1 is exactly what
-    a residue a mod p**level determines.
+    a residue a mod p**level determines.  kappa has order p**(level-1) in
+    (Z/p**level)*, so the units are the omega(r) * kappa**e with
+    e < p**(level-1), and the table is filled by enumerating them.  The
+    result is a read-only int64 array.
     """
     require_generator(kappa, p)
-    w = level
-    q = p**w
-    out_mod = p ** (level - 1) if level > 1 else 1
-    tei = teichmuller_table(p, w)
-    inv_tei = [0] + [pow(t, -1, q) for t in tei[1:]]
-    lk = _log_series((kappa - 1) % q, p, w) // p
-    inv_lk = pow(lk % (p ** (w - 1)), -1, p ** (w - 1)) if w > 1 else 0
-    out = [0] * (p**level)
-    for a in range(1, p**level):
-        if a % p == 0:
-            continue
-        uhat = (a * inv_tei[a % p]) % q
-        la = _log_series(uhat - 1, p, w) // p
-        out[a] = (la * inv_lk) % out_mod if level > 1 else 0
-    return tuple(out)
+    q = p**level
+    order = q // p
+    powers = np.ones(1, dtype=np.int64)  # kappa**e mod q, doubled in length
+    while len(powers) < order:
+        powers = np.concatenate((powers, powers * pow(kappa, len(powers), q) % q))
+    tei = np.array(teichmuller_table(p, level)[1:], dtype=np.int64)
+    out = np.zeros(q, dtype=np.int64)
+    out[np.outer(tei, powers[:order]) % q] = np.arange(order, dtype=np.int64)
+    out.flags.writeable = False
+    return out

@@ -5,8 +5,10 @@ neighbourhood basis of zero in Z_p[[T]], so these quotients are where all
 exact computation happens.
 
 An element is stored by its coordinates in the binomial basis
-{(1+T)**a : 0 <= a < p**m}, entries mod p**n.  Every operator of the
-calculus is an exponent map there:
+{(1+T)**a : 0 <= a < p**m}, entries mod p**n.  When p**n < 2**31 the view
+is a read-only int64 numpy array, and every operator works on it with
+numpy; otherwise it is a tuple of Python ints, the one exact fallback.
+Every operator of the calculus is an exponent map there, O(p**m):
 
 * substitution  sigma_a : F(T) -> F((1+T)**a - 1)     permutes exponents,
 * derivative    D = (1+T) d/dT                        multiplies b_a by a,
@@ -14,9 +16,12 @@ calculus is an exponent map there:
 * isotypic      gamma_delta                           averages over mu_{p-1},
 * Leopoldt      Gamma_delta                           maps level m to m-1.
 
-The monomial coefficients (the canonical representative of degree
-< p**m, which carries the Weierstrass data) are computed only where they
-are read: `coeffs`, invariant certification and the series report.
+mu_{p-1} acts freely on the nonzero exponents, so gamma_delta is one
+twisted sum per orbit.  The monomial coefficients (the canonical
+representative of degree < p**m, which carries the Weierstrass data) are
+computed exactly only for `coeffs` and the series report; invariant
+certification needs them mod p only, which Lucas's theorem gives in
+O(m p**(m+1)).
 
 Everything is pure and exact at the stated precision; where an operator
 genuinely loses precision (D, whose multiplier is only known mod p**m) the
@@ -41,13 +46,46 @@ from .padic import (
     teichmuller_table,
 )
 
-# numpy int64 fast paths are used when products and accumulated sums
-# provably fit; everything falls back to exact python ints otherwise.
+# The binomial view is an int64 array when p**n < 2**31, so that a product
+# of two entries fits; a sum of such products is checked to fit, or is
+# formed from reduced terms, before numpy computes it.
 _NP_COEFF_LIMIT = 2**31
 
 
 class ContextMismatchError(ValueError):
     """Operands live in different rings R(n, m)."""
+
+
+def _stored(b, pn: int):
+    """b mod pn as stored: a read-only int64 array when pn < 2**31, else a
+    tuple of Python ints."""
+    if isinstance(b, np.ndarray) and (pn >= _NP_COEFF_LIMIT or b.dtype != np.int64):
+        b = b.tolist()
+    if pn >= _NP_COEFF_LIMIT:
+        return tuple(int(x) % pn for x in b)
+    if isinstance(b, np.ndarray):
+        arr = b % pn
+    else:
+        arr = np.array([x % pn for x in b], dtype=np.int64)
+    arr.flags.writeable = False
+    return arr
+
+
+def _ints(b):
+    """The stored view as a sequence of Python ints."""
+    return b.tolist() if isinstance(b, np.ndarray) else b
+
+
+def _array(b, exact: bool = False) -> np.ndarray:
+    """The stored view for numpy: the int64 array itself, or an object array
+    of Python ints for the tuple (and wherever exact arithmetic is asked)."""
+    if isinstance(b, np.ndarray) and not exact:
+        return b
+    return np.array(_ints(b), dtype=object)
+
+
+def _key(b):
+    return b.tobytes() if isinstance(b, np.ndarray) else b
 
 
 class RingElem:
@@ -73,24 +111,24 @@ class RingElem:
             while c and c[-1] == 0:
                 c.pop()
             _binomial = _coeffs_to_binomial(c, q, pn)
-        b = tuple(x % pn for x in _binomial)
-        if len(b) != q:
+        if len(_binomial) != q:
             raise ValueError("binomial view must have length p**m")
-        self._bin = b
+        self._bin = _stored(_binomial, pn)
 
     @classmethod
     def from_binomial(cls, p: int, n: int, m: int, b) -> "RingElem":
-        """The class of sum b[a] (1+T)**a; exactly p**m entries."""
+        """The class of sum b[a] (1+T)**a; exactly p**m entries (a sequence
+        of ints or an integer numpy array)."""
         return cls(p, n, m, None, _binomial=b)
 
     @property
     def coeffs(self) -> tuple[int, ...]:
         """Monomial coefficients of the canonical representative, O(Q^2)."""
-        return _binomial_to_coeffs(self._bin, self.p**self.n)
+        return _binomial_to_coeffs(_ints(self._bin), self.p**self.n)
 
     @property
     def binomial(self) -> tuple[int, ...]:
-        return self._bin
+        return tuple(_ints(self._bin))
 
     # -- ring structure ----------------------------------------------------
 
@@ -102,8 +140,8 @@ class RingElem:
 
     def __add__(self, other: "RingElem") -> "RingElem":
         self._require_same(other)
-        return RingElem.from_binomial(self.p, self.n, self.m,
-                                      [a + b for a, b in zip(self._bin, other._bin)])
+        s = _array(self._bin) + _array(other._bin)
+        return RingElem.from_binomial(self.p, self.n, self.m, s)
 
     def __sub__(self, other: "RingElem") -> "RingElem":
         return self + other.scale(-1)
@@ -114,20 +152,21 @@ class RingElem:
         return RingElem.from_binomial(self.p, self.n, self.m, b)
 
     def scale(self, c: int) -> "RingElem":
-        return RingElem.from_binomial(self.p, self.n, self.m, [c * x for x in self._bin])
+        s = _array(self._bin) * (c % self.p**self.n)
+        return RingElem.from_binomial(self.p, self.n, self.m, s)
 
     def __eq__(self, other) -> bool:
         # the basis change is a bijection, so the binomial view decides
         if not isinstance(other, RingElem):
             return NotImplemented
         return ((self.p, self.n, self.m) == (other.p, other.n, other.m)
-                and self._bin == other._bin)
+                and _key(self._bin) == _key(other._bin))
 
     def __hash__(self) -> int:
-        return hash((self.p, self.n, self.m, self._bin))
+        return hash((self.p, self.n, self.m, _key(self._bin)))
 
     def is_zero(self) -> bool:
-        return not any(self._bin)
+        return not _array(self._bin).any()
 
     def reduce(self, n: int | None = None, m: int | None = None) -> "RingElem":
         """Image in R(n', m') for n' <= n, m' <= m (fold exponents, drop digits)."""
@@ -137,12 +176,12 @@ class RingElem:
             raise PrecisionError("reduce cannot increase precision")
         if (n2, m2) == (self.n, self.m):
             return self
-        b = _fold_binomial(self._bin, self.p, m2)
-        return RingElem.from_binomial(self.p, n2, m2, b)
+        folded = _array(self._bin).reshape(-1, self.p**m2).sum(axis=0)
+        return RingElem.from_binomial(self.p, n2, m2, folded)
 
     def constant_term(self) -> int:
         """F(0) = sum b_a mod p**n."""
-        return sum(self._bin) % self.p**self.n
+        return int(_array(self._bin).sum()) % self.p**self.n
 
     def __repr__(self) -> str:
         coeffs = self.coeffs
@@ -212,36 +251,19 @@ def _coeffs_to_binomial(c, q: int, pn: int) -> list[int]:
     return out
 
 
-def _cyclic_convolve(a, b, p: int, n: int) -> list[int]:
+def _cyclic_convolve(a, b, p: int, n: int):
     """Convolution of binomial views modulo (x**Q - 1, p**n)."""
     q = len(a)
     pn = p**n
-    if pn < _NP_COEFF_LIMIT and q >= 32 and q * (pn - 1) ** 2 < 2**62:
-        fa = np.array(a, dtype=np.int64)
-        fb = np.array(b, dtype=np.int64)
-        conv = np.convolve(fa, fb)
+    if q * (pn - 1) ** 2 < 2**62:  # never for a tuple view: pn >= 2**31
+        conv = np.convolve(a, b)
         out = conv[:q].copy()
         out[: q - 1] += conv[q:]
-        return [int(x) for x in out % pn]
-    out = [0] * q
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                k = i + j
-                if k >= q:
-                    k -= q
-                out[k] = (out[k] + ai * bj) % pn
-    return out
-
-
-def _fold_binomial(b, p: int, m2: int) -> list[int]:
-    q2 = p**m2
-    out = [0] * q2
-    for a, ba in enumerate(b):
-        if ba:
-            out[a % q2] += ba
+        return out
+    a, b = _array(a, exact=True), _array(b, exact=True)
+    out = np.zeros(q, dtype=object)
+    for i in np.flatnonzero(a):
+        out += a[i] * np.roll(b, i) % pn
     return out
 
 
@@ -315,13 +337,9 @@ def substitute_exp(f: RingElem, a: int | PadicInt) -> RingElem:
             raise PrecisionError(f"exponent needs precision >= m = {m}")
         a = a.value
     a %= q
-    b = f.binomial
-    out = [0] * q
-    pn = p**n
-    for ap, bv in enumerate(b):
-        if bv:
-            k = (a * ap) % q
-            out[k] = (out[k] + bv) % pn
+    b = _array(f._bin)
+    out = np.zeros(q, dtype=b.dtype)
+    np.add.at(out, a * np.arange(q, dtype=np.int64) % q, b)
     return RingElem.from_binomial(p, n, m, out)
 
 
@@ -335,8 +353,8 @@ def op_derivative(f: RingElem) -> RingElem:
     n2 = min(n, m) if m >= 1 else 1
     if m == 0:
         return ring_zero(p, n2, 0)
-    b = f.binomial
-    return RingElem.from_binomial(p, n2, m, [a * ba for a, ba in enumerate(b)])
+    d = _array(f._bin) * np.arange(p**m, dtype=np.int64)
+    return RingElem.from_binomial(p, n2, m, d)
 
 
 def op_unit_part(f: RingElem) -> RingElem:
@@ -344,59 +362,55 @@ def op_unit_part(f: RingElem) -> RingElem:
 
     Exact at full precision n: U((1+T)**a) is (1+T)**a for unit a, else 0.
     """
-    p = f.p
-    b = [(ba if a % p != 0 else 0) for a, ba in enumerate(f.binomial)]
-    return RingElem.from_binomial(p, f.n, f.m, b)
+    out = _array(f._bin).copy()
+    out[::f.p] = 0
+    return RingElem.from_binomial(f.p, f.n, f.m, out)
 
 
 @lru_cache(maxsize=8)
-def _gamma_gather(p: int, m: int) -> "np.ndarray":
-    """Row r-1 holds the gather indices of sigma_{omega(r)} on Z/p**m."""
+def _orbit_index(p: int, m: int) -> np.ndarray:
+    """The orbits of mu_{p-1} on the nonzero exponents mod p**m: column j
+    lists omega(t) * rep_j for t = 1..p-1 (row t-1).
+
+    The action is free there (eta - 1 is a unit for eta != 1), and the
+    representatives are the p**v * u with u = 1 mod p, one per orbit.
+    """
     q = p**m
-    tei_m = teichmuller_table(p, max(m, 1))
-    idx = np.empty((p - 1, q), dtype=np.int64)
-    ar = np.arange(q, dtype=np.int64)
-    for r in range(1, p):
-        rinv = pow(r, -1, p)
-        idx[r - 1] = (tei_m[rinv] % q) * ar % q
+    a = np.arange(1, q, dtype=np.int64)
+    u = a.copy()
+    for _ in range(m - 1):  # the unit part of a: strip up to m-1 factors p
+        u = np.where(u % p == 0, u // p, u)
+    tei = np.array(teichmuller_table(p, max(m, 1))[1:], dtype=np.int64)
+    idx = np.outer(tei, a[u % p == 1]) % q
+    idx.flags.writeable = False
     return idx
 
 
 def op_isotypic(f: RingElem, delta: int) -> RingElem:
     """gamma_delta: average of eta**delta * sigma_eta over eta in mu_{p-1}.
 
-    Exact at precision (n, m); the Teichmuller roots are used mod p**m for
-    the exponent permutation and mod p**n for the coefficient twist.
+    On the orbit {omega(t) rep} the output at omega(s) rep is
+    omega(s)**delta / (p-1) * sum_t omega(t)**(-delta) b_{omega(t) rep}, and
+    the exponent 0 keeps b_0 only for delta = 0: O(p**m).  The Teichmuller
+    roots are used mod p**m for the exponents and mod p**n for the twists.
     """
     p, n, m = f.p, f.n, f.m
     q = p**m
     pn = p**n
     delta %= p - 1
-    tei_n = teichmuller_table(p, n)
-    b = f.binomial
+    tei_n = teichmuller_table(p, n)[1:]
     inv = pow(p - 1, -1, pn)
-    if pn < _NP_COEFF_LIMIT and q >= 64:
-        gather = _gamma_gather(p, m)
-        arr = np.array(b, dtype=np.int64)
-        acc = np.zeros(q, dtype=np.int64)
-        budget = 2**62 // max(1, (pn - 1) ** 2)
-        for r in range(1, p):
-            coef = pow(tei_n[r], delta, pn)
-            acc += coef * arr[gather[r - 1]]
-            if r % max(1, budget) == 0:
-                acc %= pn
-        out = (acc % pn) * inv % pn
-        return RingElem.from_binomial(p, n, m, [int(x) for x in out])
-    tei_m = teichmuller_table(p, max(m, 1))
-    out = [0] * q
-    for r in range(1, p):
-        coef = pow(tei_n[r], delta, pn)
-        mult = tei_m[r] % q if q > 1 else 0
-        for a, ba in enumerate(b):
-            if ba:
-                k = (mult * a) % q
-                out[k] = (out[k] + coef * ba) % pn
-    return RingElem.from_binomial(p, n, m, [(x * inv) % pn for x in out])
+    b = _array(f._bin)
+    up = np.array([pow(w, delta, pn) * inv % pn for w in tei_n], dtype=b.dtype)
+    # omega**(p-1) = 1; in int64 each product is below 2**62, and p-1
+    # reduced terms fit a sum
+    down = np.array([pow(w, p - 1 - delta, pn) for w in tei_n], dtype=b.dtype)
+    idx = _orbit_index(p, m)
+    sums = (b[idx] * down[:, None] % pn).sum(axis=0) % pn
+    out = np.empty(q, dtype=b.dtype)
+    out[idx] = up[:, None] * sums
+    out[0] = b[0] if delta == 0 else 0
+    return RingElem.from_binomial(p, n, m, out)
 
 
 def op_leopoldt(f: RingElem, delta: int, kappa: int) -> RingElem:
@@ -411,28 +425,16 @@ def op_leopoldt(f: RingElem, delta: int, kappa: int) -> RingElem:
         raise ValueError("Gamma_delta needs level m >= 1")
     require_generator(kappa, p)
     q = p**m
-    q2 = p ** (m - 1)
     pn = p**n
     delta %= p - 1
-    tei_n = teichmuller_table(p, n)
     exps = kappa_exponent_table(p, m, kappa)
-    b = f.binomial
-    if pn < _NP_COEFF_LIMIT and q >= 64 and q * (pn - 1) ** 2 < 2**62:
-        arr = np.array(b, dtype=np.int64)
-        a_idx = np.arange(q, dtype=np.int64)
-        unit = (a_idx % p) != 0
-        tw = np.array([pow(t, delta, pn) if t else 0 for t in tei_n], dtype=np.int64)
-        vals = arr[unit] * tw[a_idx[unit] % p]
-        tgt = np.array(exps, dtype=np.int64)[unit]
-        acc = np.zeros(q2, dtype=np.int64)
-        np.add.at(acc, tgt, vals)
-        return RingElem.from_binomial(p, n, m - 1, [int(x) for x in acc % pn])
-    out = [0] * q2
-    for a, ba in enumerate(b):
-        if ba and a % p != 0:
-            c = (ba * pow(tei_n[a % p], delta, pn)) % pn
-            k = exps[a]
-            out[k] = (out[k] + c) % pn
+    # each target sums at most q twisted products: exact ints past the guard
+    b = _array(f._bin, exact=q * (pn - 1) ** 2 >= 2**62)
+    # twist by exponent residue mod p; the zero at residue 0 kills non-units
+    tw = np.array([pow(t, delta, pn) if t else 0 for t in teichmuller_table(p, n)],
+                  dtype=b.dtype)
+    out = np.zeros(q // p, dtype=b.dtype)
+    np.add.at(out, exps, (b.reshape(-1, p) * tw).ravel())
     return RingElem.from_binomial(p, n, m - 1, out)
 
 
@@ -440,16 +442,11 @@ def op_leopoldt(f: RingElem, delta: int, kappa: int) -> RingElem:
 
 
 def ideal_zero(f: RingElem, n2: int, m2: int) -> bool:
-    """Membership of f in the ideal (p**n2, omega_m2(T)), for n2 <= n, m2 <= m.
-
-    Exponents are folded to level m2 in the binomial basis and the folded
-    coefficients checked mod p**n2.
-    """
+    """Membership of f in the ideal (p**n2, omega_m2(T)), for n2 <= n, m2 <= m:
+    the image of f in R(n2, m2) vanishes."""
     if n2 > f.n or m2 > f.m:
         raise PrecisionError(f"cannot test ideal ({n2},{m2}) at level ({f.n},{f.m})")
-    pn2 = f.p**n2
-    folded = _fold_binomial(f.binomial, f.p, m2)
-    return all(x % pn2 == 0 for x in folded)
+    return f.reduce(n2, m2).is_zero()
 
 
 @dataclass(frozen=True)
@@ -473,11 +470,33 @@ class InvariantReport:
         return self.verdict == "certified"
 
 
+@lru_cache(maxsize=16)
+def _pascal_mod_p(p: int) -> np.ndarray:
+    """C(a, k) mod p at row a, column k, for digits a, k < p."""
+    out = np.zeros((p, p), dtype=np.int64)
+    out[:, 0] = 1
+    for a in range(1, p):
+        out[a, 1:] = (out[a - 1, 1:] + out[a - 1, :-1]) % p
+    out.flags.writeable = False
+    return out
+
+
 def invariants(f: RingElem) -> InvariantReport:
-    p = f.p
-    for i, c in enumerate(f.coeffs):
-        if c % p != 0:
-            return InvariantReport(0, i, "certified", (f.n, f.m))
+    """Certify from the monomial coefficients mod p, in O(m p**(m+1)).
+
+    By Lucas's theorem (1+T)**a = prod_i (1+T**(p**i))**a_i mod p for the
+    base-p digits a_i of a < p**m, so the basis change mod p is the Pascal
+    matrix mod p applied along each digit axis of the view reshaped to
+    (p,)*m; the degree stays below p**m, so no reduction by omega_m is due.
+    """
+    p, m = f.p, f.m
+    c = (_array(f._bin) % p).astype(np.int64).reshape((p,) * m)
+    pascal = _pascal_mod_p(p)
+    for _ in range(m):  # contract the last digit axis, then rotate it to the front
+        c = np.moveaxis(c @ pascal % p, -1, 0)
+    units = np.flatnonzero(c)
+    if units.size:
+        return InvariantReport(0, int(units[0]), "certified", (f.n, f.m))
     return InvariantReport(None, None, "indeterminate", (f.n, f.m))
 
 
@@ -499,7 +518,7 @@ def evaluate(f: RingElem, t: PadicInt) -> PadicInt:
     pn = p**n
     acc = 0
     x = (1 + t.value) % pn
-    for ba in reversed(f.binomial):
+    for ba in reversed(_ints(f._bin)):
         acc = (acc * x + ba) % pn
     return PadicInt(p, out_prec, acc)
 
@@ -513,7 +532,7 @@ def exponent_moment(f: RingElem, k: int) -> PadicInt:
     out_prec = min(n, m) if m >= 1 else n
     pn = p**n
     acc = 0
-    for a, ba in enumerate(f.binomial):
+    for a, ba in enumerate(_ints(f._bin)):
         if ba:
             acc = (acc + ba * pow(a, k, pn)) % pn
     return PadicInt(p, out_prec, acc)

@@ -202,3 +202,24 @@ def test_large_and_undecided_primes_are_clean_errors(capsys):
         assert time.monotonic() - t0 < 1
         assert code == 1
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("d", ["-3", "2305843009213693951"])
+def test_bounds_refuses_conductor_before_factoring(monkeypatch, capsys, d):
+    # d = -3 printed a negative "field" bound; the prime 2**61 - 1 ran trial
+    # division in euler_phi for hours
+    from leopoldt import lfunc
+
+    euler_phi = lfunc.euler_phi
+
+    def small_only(n):
+        assert 1 <= n <= 10**6, f"euler_phi({n}) ran before d was admitted"
+        return euler_phi(n)
+
+    monkeypatch.setattr(lfunc, "euler_phi", small_only)
+    t0 = time.monotonic()
+    code = main(["bounds", "--p", "5", "--d", d])
+    captured = capsys.readouterr()
+    assert time.monotonic() - t0 < 1
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err

@@ -3,6 +3,7 @@ import pytest
 from leopoldt.characters import (
     ThetaCharacter,
     build_validate,
+    characters_mod,
     enumerate_even_theta,
     trivial_character,
 )
@@ -22,6 +23,7 @@ from leopoldt.lfunc import (
     surrogate_h_poly,
     valid_multipliers,
 )
+from leopoldt.padic import teichmuller
 from leopoldt.ring import (
     RingElem,
     invariants,
@@ -262,3 +264,93 @@ def test_iwasawa_series_rejects_oversized_ring():
     theta = ThetaCharacter(trivial_character(101), 1)
     with pytest.raises(ValueError):
         iwasawa_series(theta, 2, 3)
+
+
+# -- the rational construction, a differential oracle for the closed forms ----
+#
+# The sources as rational functions of x = 1+T: a short numerator times the
+# inverse of the geometric sum 1 + x + ... + x**(d-1), whose cyclic binomial
+# view comes from an exact division by x**Q - 1.
+
+
+def _geometric_inverse_view(p, n, m, d):
+    # (x-1) * sum_{j<Q} x**(jd) is divisible by x**Q - 1 (Q = p**m), and
+    # S_d times the quotient is sum_{i<d} x**(iQ) = d mod (x**Q - 1)
+    q, pn = p**m, p**n
+    deg = d * (q - 1) + 1
+    work = [0] * (deg + 1)
+    for j in range(q):
+        work[j * d] -= 1
+        work[j * d + 1] += 1
+    quot = [0] * (deg - q + 1)
+    for i in range(deg, q - 1, -1):
+        if work[i]:
+            quot[i - q] += work[i]
+            work[i - q] += work[i]
+            work[i] = 0
+    assert not any(work)
+    out = [0] * q
+    for i, c in enumerate(quot):
+        out[i % q] += c
+    dinv = pow(d, -1, pn)
+    return [x * dinv % pn for x in out]
+
+
+def _mul_short_cyclic(view, short, pn):
+    # cyclic product with a short x-polynomial, folded mod x**Q - 1 first
+    q = len(view)
+    out = [0] * q
+    for i, c in enumerate(short):
+        for a, v in enumerate(view):
+            out[(a + i) % q] += c * v
+    return [x % pn for x in out]
+
+
+def _divide_out_x_minus_1(coeffs, pn):
+    # the numerator vanishes at x = 1 mod pn, as chi is nontrivial
+    quot = [0] * (len(coeffs) - 1)
+    carry = 0
+    for i in range(len(coeffs) - 2, -1, -1):
+        carry += coeffs[i + 1]
+        quot[i] = carry
+    assert (coeffs[0] + quot[0]) % pn == 0
+    return quot
+
+
+def rational_g_c(p, c, n, m):
+    """x h_c(x) / S_c(x) in R(n, m)."""
+    view = _mul_short_cyclic(_geometric_inverse_view(p, n, m, c),
+                             [0] + surrogate_h_poly(c), p**n)
+    return RingElem.from_binomial(p, n, m, view)
+
+
+def rational_f_chi(chi, n, m):
+    """(sum_{a<=d} chi(a) x**a) / (1 - x**d) = -(numerator / (x-1)) / S_d(x)."""
+    p, d = chi.p, chi.d
+    numer = [0] + [teichmuller(chi.residue(a), p, n).value if chi.residue(a) else 0
+                   for a in range(1, d + 1)]
+    short = [-x for x in _divide_out_x_minus_1(numer, p**n)]
+    view = _mul_short_cyclic(_geometric_inverse_view(p, n, m, d), short, p**n)
+    return RingElem.from_binomial(p, n, m, view)
+
+
+def test_g_c_matches_rational_construction():
+    cases = [(p, c, n, m) for p in (3, 5, 7, 11) for c in range(2, p)
+             for n, m in ((2, 1), (3, 2))]
+    cases += [(p, c, 2, m) for p in (13, 37, 59) for c in (2, 3, p - 1) for m in (1, 2)]
+    for p, c, n, m in cases:
+        assert g_c_surrogate(p, c, n, m) == rational_g_c(p, c, n, m), (p, c, n, m)
+
+
+def test_f_chi_matches_rational_construction():
+    # Q = p**m runs below and above the conductor d
+    count = 0
+    for p in (3, 5, 7, 11, 13):
+        for d in range(3, 41):
+            if d % p == 0:
+                continue
+            for chi in characters_mod(d, p):
+                for n, m in ((2, 1), (2, 2), (3, 1)):
+                    assert f_chi(chi, n, m) == rational_f_chi(chi, n, m), (chi, n, m)
+                    count += 1
+    assert count > 500

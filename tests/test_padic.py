@@ -8,9 +8,11 @@ from leopoldt.padic import (
     NotAUnitError,
     PadicInt,
     PrecisionError,
+    _log_series,
     is_odd_prime,
     iwasawa_log,
     kappa_exponent,
+    kappa_exponent_table,
     teichmuller,
     teichmuller_table,
 )
@@ -161,3 +163,29 @@ def test_shift_down_exact_division():
     assert (y.precision, y.value) == (2, 10 % 25)
     with pytest.raises(ValueError):
         PadicInt(5, 4, 3).shift_down(1)
+
+
+def _log_series_table(p, level, kappa):
+    # the log-series route: Log_p(a)/Log_p(kappa) per unit a, after
+    # dividing out omega(a), both logarithms divided by p before inverting
+    q = p**level
+    out_mod = p ** (level - 1)
+    tei = teichmuller_table(p, level)
+    lk = _log_series(kappa - 1, p, level) // p
+    out = [0] * q
+    for a in range(1, q):
+        if a % p and level > 1:
+            la = _log_series(a * pow(tei[a % p], -1, q) - 1, p, level) // p
+            out[a] = la * pow(lk, -1, out_mod) % out_mod
+    return out
+
+
+@pytest.mark.parametrize("p, level, kappas", [
+    (3, 1, (4,)), (3, 3, (4, 7, 13)), (5, 2, (6, 11, 21)), (5, 3, (6, 16)),
+    (7, 3, (8, 15)), (13, 2, (14, 27)), (37, 3, (38,)),
+])
+def test_kappa_exponent_table_matches_log_series(p, level, kappas):
+    for kappa in kappas:
+        table = kappa_exponent_table(p, level, kappa)
+        assert table.dtype == "int64" and not table.flags.writeable
+        assert table.tolist() == _log_series_table(p, level, kappa)

@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from leopoldt.padic import NotAUnitError, PadicInt, PrecisionError, kappa_exponent
+from leopoldt.padic import NotAUnitError, PadicInt, PrecisionError, kappa_exponent, teichmuller
 from leopoldt.ring import (
     ContextMismatchError,
     RingElem,
@@ -19,6 +20,7 @@ from leopoldt.ring import (
     op_leopoldt,
     op_unit_part,
     ring_one,
+    ring_zero,
     substitute_exp,
 )
 from conftest import brute_force_from_binomial, omega_poly, random_elem, random_monomial_elem
@@ -175,7 +177,7 @@ def _isotypic_reference(b, p, n, m, delta):
 
 
 def test_numpy_and_python_paths_agree(rng):
-    # q = 125 >= 64 triggers the vector path; compare against a handmade loop
+    # the orbit sums of the int64 view against the scatter definition
     p, n, m = 5, 2, 3
     for _ in range(5):
         f = random_elem(rng, p, n, m)
@@ -457,3 +459,126 @@ def test_isotypic_int64_boundary(rng, p, n, m):
         f = RingElem.from_binomial(p, n2, m, b)
         for delta in (0, 1, p - 2):
             assert op_isotypic(f, delta).binomial == _isotypic_reference(b, p, n2, m, delta)
+
+
+# -- storage: the int64 view against plain loops, and the exact fallback ----
+
+# n with p**n just below 2**31: the int64 view; n + 1 takes the exact path
+_BELOW_2_31 = {3: 19, 5: 13, 7: 11}
+
+
+def _leopoldt_reference(b, p, n, m, delta, kappa):
+    # Gamma_delta unit by unit, with exponents from the logarithm series
+    pn = p**n
+    out = [0] * p ** (m - 1)
+    for a, ba in enumerate(b):
+        if a % p:
+            e = 0 if m == 1 else kappa_exponent(
+                PadicInt(p, m, a), PadicInt(p, m, kappa), m - 1).value
+            out[e] += ba * pow(teichmuller(a, p, n).value, delta, pn)
+    return tuple(x % pn for x in out)
+
+
+def _fold(b, q2):
+    out = [0] * q2
+    for a, ba in enumerate(b):
+        out[a % q2] += ba
+    return out
+
+
+@st.composite
+def _view_cases(draw):
+    p = draw(st.sampled_from((3, 5, 7)))
+    top = _BELOW_2_31[p]
+    n = draw(st.sampled_from((1, 2, top, top, top + 1)))
+    m = draw(st.integers(min_value=0, max_value={3: 4, 5: 3, 7: 2}[p]))
+    q, pn = p**m, p**n
+    # entries near p**n - 1 drive every int64 sum to its bound
+    near_top = st.integers(min_value=max(0, pn - 3), max_value=pn - 1)
+    entry = draw(st.sampled_from(
+        (near_top, st.one_of(st.integers(min_value=0, max_value=pn - 1), near_top))))
+    b = draw(st.lists(entry, min_size=q, max_size=q))
+    c = draw(st.lists(entry, min_size=q, max_size=q))
+    s = draw(st.integers(min_value=0, max_value=q))
+    n2 = draw(st.integers(min_value=1, max_value=n))
+    m2 = draw(st.integers(min_value=0, max_value=m))
+    return p, n, m, b, c, s, n2, m2
+
+
+# saturated entries at p = 7 just below 2**31: the int64 orbit sums of gamma
+# overflow unless every twisted product is reduced first
+@settings(max_examples=100, deadline=None)
+@given(_view_cases())
+@example((7, 11, 2, [7**11 - 1] * 49, [7**11 - 2] * 49, 3, 11, 1))
+def test_int64_view_differential(case):
+    p, n, m, b, c, s, n2, m2 = case
+    q, pn = p**m, p**n
+    f = RingElem.from_binomial(p, n, m, b)
+    g = RingElem.from_binomial(p, n, m, c)
+    assert isinstance(f._bin, np.ndarray) == (pn < 2**31)
+    assert (f * g).binomial == _schoolbook_cyclic(b, c, pn)
+    assert op_unit_part(f).binomial == tuple(0 if a % p == 0 else x for a, x in enumerate(b))
+    for delta in range(p - 1):
+        if m == 0:
+            assert op_isotypic(f, delta).binomial == (b[0] if delta == 0 else 0,)
+        else:
+            assert op_isotypic(f, delta).binomial == _isotypic_reference(b, p, n, m, delta)
+            assert op_leopoldt(f, delta, 1 + p).binomial == _leopoldt_reference(
+                b, p, n, m, delta, 1 + p)
+    image = [0] * q
+    for a, ba in enumerate(b):
+        image[s * a % q] += ba
+    assert substitute_exp(f, s).binomial == tuple(x % pn for x in image)
+    pd = p ** (min(n, m) if m else 1)
+    assert op_derivative(f).binomial == tuple(a * ba % pd for a, ba in enumerate(b))
+    folded = _fold(b, p**m2)
+    assert f.reduce(n2, m2).binomial == tuple(x % p**n2 for x in folded)
+    assert ideal_zero(f, n2, m2) == all(x % p**n2 == 0 for x in folded)
+    shifted = [0] * q
+    shifted[p**m2 % q] = 1
+    shifted[0] -= 1
+    member = g * RingElem.from_binomial(p, n, m, shifted) + f.scale(p**n2)
+    assert ideal_zero(member, n2, m2)
+    first = next((i for i, x in enumerate(f.coeffs) if x % p), None)
+    assert invariants(f).lambda_certified == first
+
+
+@pytest.mark.parametrize("p, n, m", [(5, 2, 2), (3, 19, 3), (3, 20, 3), (7, 12, 1)])
+def test_views_agree_across_constructors(rng, p, n, m):
+    pn = p**n
+    for _ in range(5):
+        f = random_monomial_elem(rng, p, n, m)
+        b = f.binomial
+        assert all(type(x) is int for x in b)
+        if pn < 2**31:
+            assert f._bin.dtype == np.int64 and not f._bin.flags.writeable
+        same = (RingElem.from_binomial(p, n, m, list(b)),
+                RingElem.from_binomial(p, n, m, np.array(b, dtype=np.int64)),
+                RingElem.from_binomial(p, n, m, [x - pn for x in b]))
+        for g in same:
+            assert all(type(x) is int for x in g.binomial)
+            assert g == f and hash(g) == hash(f)
+        assert f != f + ring_one(p, n, m)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_invariants_lucas_matches_coeffs(rng, p):
+    # the first unit coefficient sits behind p-divisible ones at a random
+    # index, so that a wrong digit order in the mod-p basis change shows
+    for m in range(4):
+        q = p**m
+        for n in (1, 2, _BELOW_2_31[p] + 1):
+            pn = p**n
+            elems = [ring_zero(p, n, m), random_elem(rng, p, n, m)]
+            for _ in range(4):
+                lead = rng.randrange(q + 1)
+                c = [p * rng.randrange(pn) for _ in range(lead)]
+                if lead < q:
+                    c.append(rng.randrange(1, p) + p * rng.randrange(pn))
+                    c += [rng.randrange(pn) for _ in range(q - lead - 1)]
+                elems.append(RingElem(p, n, m, c))
+            for f in elems:
+                first = next((i for i, x in enumerate(f.coeffs) if x % p), None)
+                rep = invariants(f)
+                assert rep.lambda_certified == first
+                assert rep.certified == (first is not None)
