@@ -20,7 +20,14 @@ from math import isqrt
 
 import numpy as np
 
-from .padic import PadicInt, kappa_exponent, teichmuller, teichmuller_table
+from .padic import (
+    MAX_RING_SIZE,
+    PadicInt,
+    kappa_exponent_table,
+    teichmuller,
+    teichmuller_table,
+    teichmuller_twist,
+)
 from .ring import (
     InvariantReport,
     RingElem,
@@ -47,7 +54,6 @@ from .ratfun import (
     taylor_shift,
 )
 
-MAX_RING_SIZE = 10**5
 # Coefficients are carried mod p**n; a modulus of more bits is refused.
 MAX_MODULUS_BITS = 256
 # The bounds are exact integers of about phi(p-1) * log2(4p(p-1)) bits.
@@ -148,7 +154,7 @@ def g_c_surrogate(p: int, c: int, n: int, m: int) -> RingElem:
 def valid_multipliers(p: int, delta: int) -> list[int]:
     """Integers c in 2..p-1 with c**(delta+1) != 1 mod p: exactly those whose
     surrogate factor 1 - c omega(c)**delta (1+T)**e_c is a unit."""
-    return [c for c in range(2, p) if pow(c, delta + 1, p) != 1]
+    return (np.flatnonzero(teichmuller_twist(p, 1, delta + 1)[2:] != 1) + 2).tolist()
 
 
 def iwasawa_series(theta: ThetaCharacter, n: int, m: int,
@@ -181,11 +187,8 @@ def iwasawa_series(theta: ThetaCharacter, n: int, m: int,
     if d == 1:
         pn = p**n
         beta = c * pow(teichmuller(c, p, n).value, delta, pn) % pn
-        if m >= 1:
-            e_c = kappa_exponent(PadicInt(p, m + 1, c),
-                                 PadicInt(p, m + 1, kappa), m).value
-        else:
-            e_c = 0
+        # Log_p(c)/Log_p(kappa) mod p**m, from the table op_leopoldt just read
+        e_c = int(kappa_exponent_table(p, m + 1, kappa)[c]) if m >= 1 else 0
         h = h * _solve_binomial_inverse(p, n, m, beta, e_c)
     return substitute_exp(h, -1)
 

@@ -32,6 +32,15 @@ class NotAGeneratorError(ValueError):
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 
+# A ring of more than this many coefficients is refused, and the pseudo
+# Leopoldt transform builds no kappa-exponent table of more entries.
+MAX_RING_SIZE = 10**5
+# Residues mod p**n (the binomial view of a ring element, a twist table) are
+# int64 when p**n < 2**31, so that a product of two fits; a sum of such
+# products is checked to fit, or is formed from reduced terms, before numpy
+# computes it.  At larger moduli they are Python ints.
+_NP_COEFF_LIMIT = 2**31
+
 
 @lru_cache(maxsize=256)
 def is_odd_prime(p: int) -> bool:
@@ -170,6 +179,53 @@ def teichmuller_table(p: int, precision: int) -> tuple[int, ...]:
     return (0,) + tuple(pow(r, e, q) for r in range(1, p))
 
 
+def _power_table(x: int, count: int, q: int) -> np.ndarray:
+    """x**e mod q for e < count, by doubling: int64 when q < 2**31, else an
+    object array of Python ints."""
+    powers = np.ones(1, dtype=np.int64 if q < _NP_COEFF_LIMIT else object)
+    while len(powers) < count:
+        powers = np.concatenate((powers, powers * pow(x, len(powers), q) % q))
+    return powers[:count]
+
+
+@lru_cache(maxsize=64)
+def _primitive_root_index(p: int) -> tuple[int, np.ndarray]:
+    """The least primitive root g mod p and ind(t) mod p-1 with g**ind(t) = t,
+    for t = 1..p-1 (entry 0 is 0)."""
+    for g in range(2, p):
+        powers = _power_table(g, p - 1, p)
+        if np.count_nonzero(powers == 1) == 1:  # g has order p-1
+            break
+    ind = np.zeros(p, dtype=np.int64)
+    ind[powers] = np.arange(p - 1)
+    ind.flags.writeable = False
+    return g, ind
+
+
+@lru_cache(maxsize=64)
+def _teichmuller_powers(p: int, precision: int) -> np.ndarray:
+    """omega(g)**k mod p**precision for k = 0..p-2 and the root g above."""
+    q = p**precision
+    out = _power_table(pow(_primitive_root_index(p)[0], q // p, q), p - 1, q)
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=64)
+def teichmuller_twist(p: int, precision: int, delta: int) -> np.ndarray:
+    """omega(t)**delta mod p**precision for t = 0..p-1 (entry 0 is 0).
+
+    Gathered from the cached tables above as omega(g)**(delta ind(t) mod p-1):
+    a read-only int64 array when p**precision < 2**31, else an object array
+    of Python ints.
+    """
+    _, ind = _primitive_root_index(p)
+    out = _teichmuller_powers(p, precision)[delta % (p - 1) * ind % (p - 1)]
+    out[0] = 0
+    out.flags.writeable = False
+    return out
+
+
 def _log_series(x: int, p: int, w: int) -> int:
     """Log(1 + x) mod p**w for v_p(x) >= 1, by the alternating series.
 
@@ -231,18 +287,23 @@ def require_generator(kappa: int | PadicInt, p: int) -> None:
 
 
 def kappa_exponent(a: PadicInt, kappa: PadicInt, out_precision: int) -> PadicInt:
-    """Log_p(a) / Log_p(kappa) mod p**out_precision.
+    """Log_p(a) / Log_p(kappa) mod p**out_precision."""
+    return kappa_exponents([a], kappa, out_precision)[0]
+
+
+def kappa_exponents(units: list[PadicInt], kappa: PadicInt,
+                    out_precision: int) -> list[PadicInt]:
+    """kappa_exponent of each unit, with Log_p(kappa) computed once.
 
     Both logarithms are computed mod p**(out_precision+1) and divided by p
     before the unit inversion, so nothing is lost to v_p(Log_p kappa) = 1.
     """
-    require_generator(kappa, a.p)
+    require_generator(kappa, kappa.p)
     w = out_precision + 1
-    if a.precision < w or kappa.precision < w:
-        raise PrecisionError(f"need arguments mod {a.p}^{w}")
-    la = iwasawa_log(a, w).shift_down(1)
-    lk = iwasawa_log(kappa, w).shift_down(1)
-    return la * lk.inverse()
+    if kappa.precision < w or any(a.precision < w for a in units):
+        raise PrecisionError(f"need arguments mod {kappa.p}^{w}")
+    lk_inv = iwasawa_log(kappa, w).shift_down(1).inverse()
+    return [iwasawa_log(a, w).shift_down(1) * lk_inv for a in units]
 
 
 @lru_cache(maxsize=16)
@@ -259,11 +320,8 @@ def kappa_exponent_table(p: int, level: int, kappa: int) -> np.ndarray:
     require_generator(kappa, p)
     q = p**level
     order = q // p
-    powers = np.ones(1, dtype=np.int64)  # kappa**e mod q, doubled in length
-    while len(powers) < order:
-        powers = np.concatenate((powers, powers * pow(kappa, len(powers), q) % q))
     tei = np.array(teichmuller_table(p, level)[1:], dtype=np.int64)
     out = np.zeros(q, dtype=np.int64)
-    out[np.outer(tei, powers[:order]) % q] = np.arange(order, dtype=np.int64)
+    out[np.outer(tei, _power_table(kappa, order, q)) % q] = np.arange(order, dtype=np.int64)
     out.flags.writeable = False
     return out

@@ -4,17 +4,26 @@ Exponents are carried modulo p**M (exponent precision M), coefficients
 modulo p**n.  Term-level operator actions are exact, and equality testing
 is three-valued: a comparison whose outcome depends on digits beyond the
 exponent precision raises IndecisiveError instead of guessing.
+
+The Leopoldt transform sends a unit exponent a to Log_p(a)/Log_p(kappa).
+Up to p**M = MAX_RING_SIZE it reads that image from the cached
+kappa_exponent_table that the ring operators use; above the bound it runs
+the logarithm series per term, with Log_p(kappa) computed once per call.
+The coefficient twists omega(a)**delta are gathered once per residue.
 """
 
 from __future__ import annotations
 
 from .padic import (
+    MAX_RING_SIZE,
     PadicInt,
     PrecisionError,
     is_odd_prime,
-    kappa_exponent,
+    kappa_exponent_table,
+    kappa_exponents,
     require_generator,
     teichmuller_table,
+    teichmuller_twist,
 )
 from .ring import RingElem, k_index
 
@@ -179,16 +188,11 @@ def apply_unit_part(f: PseudoPoly) -> PseudoPoly:
 def apply_isotypic(f: PseudoPoly, delta: int) -> PseudoPoly:
     """gamma_delta: terms (eta**delta c / (p-1), eta a) over eta in mu_{p-1}."""
     p = f.p
-    delta %= p - 1
-    tei_n = teichmuller_table(p, f.n)
-    tei_m = teichmuller_table(p, f.M)
     pn = p**f.n
     inv = pow(p - 1, -1, pn)
-    out = []
-    for c, a in f.terms:
-        for r in range(1, p):
-            coef = (pow(tei_n[r], delta, pn) * c * inv) % pn
-            out.append((coef, tei_m[r] * a))
+    tw = [w * inv % pn for w in teichmuller_twist(p, f.n, delta).tolist()]
+    tei_m = teichmuller_table(p, f.M)
+    out = [(tw[r] * c % pn, tei_m[r] * a) for c, a in f.terms for r in range(1, p)]
     return PseudoPoly(p, f.n, f.M, out, collided=f.collided)
 
 
@@ -205,17 +209,16 @@ def apply_leopoldt(f: PseudoPoly, delta: int, kappa: int,
     m_out = f.M - 1 if out_precision is None else out_precision
     if m_out > f.M - 1:
         raise PrecisionError("Gamma determines exponents only mod p^(M-1)")
-    delta %= p - 1
-    tei_n = teichmuller_table(p, f.n)
     pn = p**f.n
-    kp = PadicInt(p, f.M, kappa)
-    out = []
-    for c, a in f.terms:
-        if a % p == 0:
-            continue
-        e = kappa_exponent(PadicInt(p, f.M, a), kp, f.M - 1)
-        coef = (c * pow(tei_n[a % p], delta, pn)) % pn
-        out.append((coef, e.value % p**m_out))
+    q_out = p**m_out
+    tw = teichmuller_twist(p, f.n, delta).tolist()
+    units = [(c, a) for c, a in f.terms if a % p]
+    if p**f.M <= MAX_RING_SIZE:
+        exps = kappa_exponent_table(p, f.M, kappa)[[a for _, a in units]].tolist()
+    else:
+        exps = [e.value for e in kappa_exponents(
+            [PadicInt(p, f.M, a) for _, a in units], PadicInt(p, f.M, kappa), f.M - 1)]
+    out = [(c * tw[a % p] % pn, e % q_out) for (c, a), e in zip(units, exps)]
     return PseudoPoly(p, f.n, m_out, out, collided=f.collided)
 
 

@@ -37,6 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .padic import (
+    _NP_COEFF_LIMIT,
     NotAUnitError,
     PadicInt,
     PrecisionError,
@@ -44,12 +45,8 @@ from .padic import (
     kappa_exponent_table,
     require_generator,
     teichmuller_table,
+    teichmuller_twist,
 )
-
-# The binomial view is an int64 array when p**n < 2**31, so that a product
-# of two entries fits; a sum of such products is checked to fit, or is
-# formed from reduced terms, before numpy computes it.
-_NP_COEFF_LIMIT = 2**31
 
 
 class ContextMismatchError(ValueError):
@@ -398,13 +395,11 @@ def op_isotypic(f: RingElem, delta: int) -> RingElem:
     q = p**m
     pn = p**n
     delta %= p - 1
-    tei_n = teichmuller_table(p, n)[1:]
-    inv = pow(p - 1, -1, pn)
     b = _array(f._bin)
-    up = np.array([pow(w, delta, pn) * inv % pn for w in tei_n], dtype=b.dtype)
-    # omega**(p-1) = 1; in int64 each product is below 2**62, and p-1
-    # reduced terms fit a sum
-    down = np.array([pow(w, p - 1 - delta, pn) for w in tei_n], dtype=b.dtype)
+    # the twists share the view's dtype; in int64 each product is below
+    # 2**62, and p-1 reduced terms fit a sum
+    up = teichmuller_twist(p, n, delta)[1:] * pow(p - 1, -1, pn) % pn
+    down = teichmuller_twist(p, n, -delta)[1:]
     idx = _orbit_index(p, m)
     sums = (b[idx] * down[:, None] % pn).sum(axis=0) % pn
     out = np.empty(q, dtype=b.dtype)
@@ -431,8 +426,7 @@ def op_leopoldt(f: RingElem, delta: int, kappa: int) -> RingElem:
     # each target sums at most q twisted products: exact ints past the guard
     b = _array(f._bin, exact=q * (pn - 1) ** 2 >= 2**62)
     # twist by exponent residue mod p; the zero at residue 0 kills non-units
-    tw = np.array([pow(t, delta, pn) if t else 0 for t in teichmuller_table(p, n)],
-                  dtype=b.dtype)
+    tw = teichmuller_twist(p, n, delta).astype(b.dtype, copy=False)
     out = np.zeros(q // p, dtype=b.dtype)
     np.add.at(out, exps, (b.reshape(-1, p) * tw).ravel())
     return RingElem.from_binomial(p, n, m - 1, out)

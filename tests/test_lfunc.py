@@ -23,7 +23,7 @@ from leopoldt.lfunc import (
     surrogate_h_poly,
     valid_multipliers,
 )
-from leopoldt.padic import teichmuller
+from leopoldt.padic import is_odd_prime, teichmuller
 from leopoldt.ring import (
     RingElem,
     invariants,
@@ -64,7 +64,7 @@ def test_f_chi_defining_relation():
         den[d % p**m] = (den[d % p**m] - 1) % pn
         lhs = f * RingElem.from_binomial(p, n, m, den)
         num = [0] * p**m
-        from leopoldt.padic import teichmuller
+        from leopoldt.padic import is_odd_prime, teichmuller
         for a in range(1, d + 1):
             r = chi.residue(a)
             if r:
@@ -82,7 +82,7 @@ def test_f_chi_conductor_above_ring_size():
 
 def test_f_chi_u_identity():
     # U(F_chi) = F_chi - chi(p) sigma_p(F_chi)
-    from leopoldt.padic import teichmuller
+    from leopoldt.padic import is_odd_prime, teichmuller
     for p, d, table in [(5, 4, {1: 1, 3: 4}), (5, 3, {1: 1, 2: 4})]:
         chi = build_validate(d, table, p)
         f = f_chi(chi, 2, 2)
@@ -152,6 +152,10 @@ def test_valid_multipliers():
             cs = valid_multipliers(p, delta)
             assert cs, (p, delta)
             assert all(pow(c, delta + 1, p) != 1 for c in cs)
+    for p in (q for q in range(3, 160) if is_odd_prime(q)):
+        for delta in range(-1, p):
+            assert valid_multipliers(p, delta) == [
+                c for c in range(2, p) if pow(c, delta + 1, p) != 1]
 
 
 def test_multiplier_independence():

@@ -15,6 +15,7 @@ from leopoldt.padic import (
     kappa_exponent_table,
     teichmuller,
     teichmuller_table,
+    teichmuller_twist,
 )
 
 
@@ -183,9 +184,24 @@ def _log_series_table(p, level, kappa):
 @pytest.mark.parametrize("p, level, kappas", [
     (3, 1, (4,)), (3, 3, (4, 7, 13)), (5, 2, (6, 11, 21)), (5, 3, (6, 16)),
     (7, 3, (8, 15)), (13, 2, (14, 27)), (37, 3, (38,)),
+    (3, 10, (4,)),  # 3**10 is the largest level of 3 within MAX_RING_SIZE
 ])
 def test_kappa_exponent_table_matches_log_series(p, level, kappas):
     for kappa in kappas:
         table = kappa_exponent_table(p, level, kappa)
         assert table.dtype == "int64" and not table.flags.writeable
         assert table.tolist() == _log_series_table(p, level, kappa)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37])
+def test_teichmuller_twist_matches_pow(p):
+    # the top n with p**n < 2**31 gives int64, the next one Python ints
+    top = max(n for n in range(1, 32) if p**n < 2**31)
+    for n in (1, top, top + 1):
+        pn = p**n
+        tei = teichmuller_table(p, n)
+        for delta in range(2 - p, p):
+            tw = teichmuller_twist(p, n, delta)
+            assert tw.dtype == ("int64" if pn < 2**31 else object) and not tw.flags.writeable
+            assert all(type(x) is int for x in tw.tolist())
+            assert tw.tolist() == [0] + [pow(tei[t], delta, pn) for t in range(1, p)]

@@ -1,6 +1,17 @@
-import pytest
+from unittest import mock
 
-from leopoldt.padic import PadicInt, PrecisionError
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from leopoldt import pseudo
+from leopoldt.padic import (
+    MAX_RING_SIZE,
+    PadicInt,
+    PrecisionError,
+    kappa_exponent,
+    kappa_exponent_table,
+    teichmuller,
+)
 from leopoldt.pseudo import (
     IndecisiveError,
     PseudoPoly,
@@ -123,6 +134,35 @@ def test_gamma_then_leopoldt_equals_leopoldt(rng):
             lhs = apply_leopoldt(f, d, KAPPA)
             rhs = apply_leopoldt(apply_isotypic(apply_unit_part(f), -d), d, KAPPA)
             assert lhs.terms == rhs.terms
+
+
+# p**M on each side of MAX_RING_SIZE: 3**10 and 313**2 read the table,
+# 3**11 and 317**2 run the logarithm series
+@pytest.mark.parametrize("p, M", [(3, 10), (3, 11), (313, 2), (317, 2)])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_leopoldt_table_and_series_paths_agree(p, M, data):
+    n = data.draw(st.integers(min_value=1, max_value=3))
+    pn = p**n
+    f = PseudoPoly(p, n, M, data.draw(st.lists(
+        st.tuples(st.integers(0, pn - 1), st.integers(0, p**M - 1)), min_size=1, max_size=8)))
+    kappa = 1 + p * data.draw(st.integers(1, p - 1)) + p**2 * data.draw(st.integers(0, p))
+    m_out = data.draw(st.integers(min_value=1, max_value=M - 1))
+    kp = PadicInt(p, M, kappa)
+    units = [(c, a) for c, a in f.terms if a % p]
+    exps = [kappa_exponent(PadicInt(p, M, a), kp, M - 1).value for _, a in units]
+    assert exps == kappa_exponent_table(p, M, kappa)[[a for _, a in units]].tolist()
+    table = p**M <= MAX_RING_SIZE
+    with mock.patch.object(pseudo, "kappa_exponent_table",
+                           wraps=pseudo.kappa_exponent_table) as read, \
+            mock.patch.object(pseudo, "kappa_exponents",
+                              wraps=pseudo.kappa_exponents) as series:
+        for delta in range(p - 1):
+            expect = PseudoPoly(p, n, m_out, [
+                (c * pow(teichmuller(a, p, n).value, delta, pn), e % p**m_out)
+                for (c, a), e in zip(units, exps)])
+            assert apply_leopoldt(f, delta, kappa, m_out) == expect
+    assert (read.called, series.called) == (table, not table)
 
 
 def test_interp_check(rng):
