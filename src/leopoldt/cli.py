@@ -164,6 +164,11 @@ def cmd_lambda_sum(args) -> int:
 def cmd_pseudo_rational(args) -> int:
     chi = _load_character(args)
     delta = args.delta if args.delta is not None else 1
+    if args.theta_omega is not None:
+        delta = (args.theta_omega - 1) % (args.p - 1)
+        if args.delta is not None and args.delta % (args.p - 1) != delta:
+            raise ValueError(f"--delta {args.delta} disagrees with --theta-omega "
+                             f"{args.theta_omega}, which gives delta = {delta}")
     rep = lfunc.not_pseudorational_report(chi, delta)
     doc = {
         "command": "pseudo-rational-check",

@@ -4,9 +4,9 @@ Rational functions are kept reduced with a monic denominator that does not
 vanish at T = 0, i.e. they are the rational elements of the power-series
 ring.  This is the computable side of the pseudo-rationality machinery:
 the operator D = (1+T) d/dT acts rationally, U = D**(p-1) in
-characteristic p is the Cartier projection (see u_rat), the involution
-T -> (1+T)**(-1) - 1 acts by composition, and mu of Gamma_delta(F) is
-read off the content of exact truncations (see mu_gamma_formula).
+characteristic p is the Cartier projection in x = 1+T (see _cartier_x),
+the involution T -> (1+T)**(-1) - 1 is x -> 1/x, and mu of Gamma_delta(F)
+is read off the content of exact truncations (see mu_gamma_formula).
 """
 
 from __future__ import annotations
@@ -16,6 +16,11 @@ from fractions import Fraction
 
 from .padic import is_odd_prime
 from .ring import RingElem, invert_unit, op_unit_part
+
+
+# U over F_p builds polynomials of degree p * deg(den) in x = 1+T, and
+# taking the criterion's witness back to T is quadratic in that degree.
+MAX_CARTIER_DEGREE = 4000
 
 
 class NotInPowerSeriesRingError(ValueError):
@@ -289,29 +294,47 @@ def d_rat(f):
     return _remake(f, top, bot)
 
 
-def u_rat(f: RatFuncFp) -> RatFuncFp:
-    """U = D**(p-1) in characteristic p, computed as the Cartier projection.
+def _cartier_x(a, b, p: int) -> tuple[list[int], list[int]]:
+    """U(a/b) for polynomials in x = 1+T over F_p: reduced, den monic.
 
-    In x = 1+T, F_p(x) is the direct sum of the x**i F_p(x**p), i < p, and
-    D = x d/dx multiplies the i-th summand by i, so D**(p-1) drops the
-    i = 0 summand and keeps the others.  For F = A/B over F_p,
-    B(x**p) = B(x)**p, so F = A B**(p-1) / B(x**p) has its denominator in
-    F_p(x**p), and U(F) is A B**(p-1) with the exponents divisible by p
-    removed, over B(x**p).  Since (1+T)**p = 1 + T**p, B(x**p) in the
-    T-basis is den(T**p).  One exact division, one product, one reduction.
+    x = 1+T splits F_p(x) into the x**i F_p(x**p), i < p, and D = x d/dx
+    multiplies the i-th summand by i, so U = D**(p-1) drops i = 0 and keeps
+    the rest.  Over F_p, b(x**p) = b**p, so a/b = a b**(p-1) / b(x**p) and
+    U(a/b) = C / b**p with C = a b**(p-1) less its exponents divisible by p.
+    Every common factor of C and b**p divides b: g = gcd(b, C mod b) is
+    stripped from both until g no longer divides the denominator (that
+    happens only once the factors C holds beyond b**p are all that is left).
     """
-    if not isinstance(f, RatFuncFp):
-        raise TypeError("U as D**(p-1) is a characteristic-p identity")
-    p, F = f.p, f.field
-    a_x = taylor_shift(f.num, -1, p)
-    b_x = taylor_shift(f.den, -1, p)
-    b_pow, rem = _pdivmod(F, _spread(b_x, p), b_x)
-    if rem:
-        raise ArithmeticError("B(x**p) is not divisible by B(x)")  # pragma: no cover
-    top = _pmul(F, a_x, b_pow)
+    if p * (len(b) - 1) > MAX_CARTIER_DEGREE:
+        raise ValueError(f"U over F_{p} of a degree-{len(b) - 1} denominator exceeds "
+                         f"the degree bound {MAX_CARTIER_DEGREE}")
+    F = _Fp(p)
+    den = _spread(b, p)
+    top = _pmul(F, a, _pdivmod(F, den, b)[0])
     for i in range(0, len(top), p):
         top[i] = 0
-    return rat_fp(taylor_shift(top, 1, p), _spread(f.den, p), p)
+    if not _trim(top):
+        return [], [1]
+    while True:
+        g = _pgcd_monic(F, b, _pdivmod(F, top, b)[1])
+        if len(g) < 2:
+            break
+        den_g, rem = _pdivmod(F, den, g)
+        if rem:
+            break
+        top, den = _pdivmod(F, top, g)[0], den_g
+    lead = F.inv(den[-1])
+    return _pscale(F, top, lead), _pscale(F, den, lead)
+
+
+def u_rat(f: RatFuncFp) -> RatFuncFp:
+    """U = D**(p-1) in characteristic p: the Cartier projection `_cartier_x`,
+    taken in x = 1+T and brought back to T."""
+    if not isinstance(f, RatFuncFp):
+        raise TypeError("U as D**(p-1) is a characteristic-p identity")
+    p = f.p
+    num, den = _cartier_x(taylor_shift(f.num, -1, p), taylor_shift(f.den, -1, p), p)
+    return RatFuncFp(p, tuple(taylor_shift(num, 1, p)), tuple(taylor_shift(den, 1, p)))
 
 
 def compose_inv(f):
@@ -384,28 +407,18 @@ class CriterionVerdict:
     witness: tuple[int, ...] | None
 
 
-def _split_one_plus_t(f: RatFuncFp) -> tuple[int, tuple[int, ...]]:
-    """Factor den = (1+T)**k * rest; returns (k, rest) with rest monic."""
-    F = f.field
-    den = list(f.den)
-    k = 0
-    while len(den) > 1:
-        q, r = _pdivmod(F, den, [1, 1])
-        if r:
-            break
-        den = q
-        k += 1
-    if den and den[-1] != 1:
-        den = _pscale(F, den, F.inv(den[-1]))
-    return k, tuple(den)
+def _x_power_verdict(den_x, p: int) -> CriterionVerdict:
+    """holds(k) for a monic x-basis den = x**k * rest, rest constant; else rest in T."""
+    k = next(i for i, c in enumerate(den_x) if c)
+    rest = taylor_shift(den_x[k:], 1, p)
+    if len(rest) <= 1:
+        return CriterionVerdict(True, k, None)
+    return CriterionVerdict(False, None, tuple(rest))
 
 
 def is_one_plus_t_denominator(f: RatFuncFp) -> CriterionVerdict:
     """Is F of the shape polynomial / (1+T)**n (the rational pseudo-polynomials)?"""
-    k, rest = _split_one_plus_t(f)
-    if len(rest) <= 1:
-        return CriterionVerdict(True, k, None)
-    return CriterionVerdict(False, None, rest)
+    return _x_power_verdict(taylor_shift(f.den, -1, f.p), f.p)
 
 
 def sym_combination(f, delta: int):
@@ -417,13 +430,24 @@ def sym_combination(f, delta: int):
 def sym_poly_criterion(f: RatFuncFp, delta: int) -> CriterionVerdict:
     """Pseudo-rationality criterion for rational F.
 
-    Forms G = U(F) + (-1)**delta U(F(iota)) and asks whether some
-    (1+T)**n * G is a polynomial; the reduced denominator tells the answer
-    and, on failure, supplies the offending factor.  The same denominator
-    primitive answers the plain symmetrized question (without U) and the
-    pseudo-polynomial test for F itself.
+    Asks whether some (1+T)**n * U(H), H = F + (-1)**delta F(iota), is a
+    polynomial, all in x = 1+T: iota is x -> 1/x, so F(iota) = a(1/x)/b(1/x)
+    is x**(deg b - deg a) rev(a) / rev(b); H is reduced by one gcd of degree
+    about 2 deg b, U(H) is reduced against the factors of H's denominator
+    (`_cartier_x`), and (1+T)**n is a power of x.  On failure the rest of
+    the denominator, monic in T, is the witness.
     """
-    return is_one_plus_t_denominator(u_rat(sym_combination(f, delta)))
+    p, F = f.p, f.field
+    a, b = taylor_shift(f.num, -1, p), taylor_shift(f.den, -1, p)
+    e = len(b) - len(a)
+    sign = -1 if delta % 2 else 1
+    rev_a, rev_b = _trim(a[::-1]), _trim(b[::-1])
+    num = _padd(F, [0] * max(-e, 0) + _pmul(F, a, rev_b),
+                [0] * max(e, 0) + _pscale(F, _pmul(F, rev_a, b), sign))
+    den = [0] * max(-e, 0) + _pmul(F, b, rev_b)
+    g = _pgcd_monic(F, num, den)
+    num, den = _pdivmod(F, num, g)[0], _pdivmod(F, den, g)[0]
+    return _x_power_verdict(_cartier_x(num, den, p)[1], p)
 
 
 @dataclass(frozen=True)
@@ -444,8 +468,7 @@ def mu_gamma_formula(f: RatFuncZp, delta: int, m_max: int = 6,
     p = f.p
     delta %= p - 1
     branch_two = (delta % 2 == 0 and delta != 0)
-    sign = -1 if delta % 2 else 1
-    combo = rat_add(f, rat_scale(compose_inv(f), sign))
+    combo = sym_combination(f, delta)
     if rat_is_zero(combo) and not branch_two:
         raise ValueError("symmetrized combination vanishes: mu is infinite")
     prev = None

@@ -89,6 +89,31 @@ def test_bad_prime_rejected(capsys):
     assert main(["bounds", "--p", "9", "--d", "1"]) == 1
 
 
+def test_pseudo_rational_check_reads_theta_omega(capsys):
+    # theta = omega^3 at p = 7 is delta = 2, where the criterion holds
+    code, out = run(capsys, "pseudo-rational-check", "--p", "7", "--theta-omega", "3")
+    doc = json.loads(out)
+    assert code == 1
+    assert doc["inputs"]["delta"] == 2 and doc["results"]["criterion_holds"] is True
+    code, out = run(capsys, "pseudo-rational-check", "--p", "7", "--theta-omega", "3",
+                    "--delta", "8")
+    assert code == 1 and json.loads(out)["inputs"]["delta"] == 2
+    code = main(["pseudo-rational-check", "--p", "7", "--theta-omega", "3", "--delta", "1"])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: ") and "disagrees" in err
+
+
+def test_pseudo_rational_check_admits_by_size(capsys):
+    code, out = run(capsys, "pseudo-rational-check", "--p", "157")
+    assert code == 0 and json.loads(out)["results"]["not_pseudorational"] is True
+    # B(x**p) has degree p * deg B: refused before it is built
+    t0 = time.monotonic()
+    code = main(["pseudo-rational-check", "--p", "100003"])
+    err = capsys.readouterr().err
+    assert time.monotonic() - t0 < 1
+    assert code == 1 and err.startswith("error: ") and "degree bound" in err
+
+
 def test_indeterminate_exit_code(monkeypatch, capsys):
     # an exhausted escalation is reported with exit code 2, not a failure
     from leopoldt import lfunc

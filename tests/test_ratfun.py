@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from leopoldt.ratfun import (
+    CriterionVerdict,
     NotInPowerSeriesRingError,
+    _Fp,
+    _pdivmod,
+    _pmul,
+    _spread,
     compose_inv,
     d_rat,
     is_one_plus_t_denominator,
@@ -104,15 +109,21 @@ def small_p_ratfun(draw):
     coeff = st.integers(min_value=0, max_value=p - 1)
     num = draw(st.lists(coeff, max_size=6))
     den = [draw(st.integers(min_value=1, max_value=p - 1))] + draw(st.lists(coeff, max_size=5))
-    shape = draw(st.sampled_from(["random", "one_plus_t_power", "frobenius"]))
+    shape = draw(st.sampled_from(["random", "one_plus_t_power", "frobenius",
+                                  "frobenius_plus_poly"]))
     if shape == "one_plus_t_power":
         den = [1]
         for _ in range(draw(st.integers(min_value=0, max_value=4))):
             den = _mul_mod_p(den, [1, 1], p)
-    elif shape == "frobenius":
+    elif shape.startswith("frobenius"):
         # F(x) = A(x**p) / B(x**p) with x = 1+T lies in F_p(x**p): U(F) = 0
         num = taylor_shift(_spread_x(taylor_shift(num, -1, p), p), 1, p)
         den = taylor_shift(_spread_x(taylor_shift(den, -1, p), p), 1, p)
+        if shape == "frobenius_plus_poly":
+            # U(F) = U(P) is a polynomial, so the Cartier numerator holds more
+            # of each factor of den than den(x**p) = den**p does
+            poly = draw(st.lists(coeff, min_size=1, max_size=4))
+            num = _add_mod_p(num, _mul_mod_p(poly, den, p), p)
     return rat_fp(num, den, p), shape
 
 
@@ -131,6 +142,8 @@ def test_u_cartier_matches_derivative_loop(case):
     assert u == _u_by_derivative_loop(f)
     if shape == "frobenius":
         assert rat_is_zero(u)
+    if shape == "frobenius_plus_poly":
+        assert u.den == (1,)
 
 
 def test_u_cartier_edge_cases():
@@ -246,6 +259,74 @@ def test_criterion_product_is_polynomial(rng):
         assert len(shifted.den) == 1  # denominator is constant: polynomial
 
 
+def _u_rat_by_euclid(f):
+    # U in the T-basis: the Cartier numerator over den(T**p), reduced by one
+    # Euclidean gcd of degree p * deg(den)
+    p, F = f.p, _Fp(f.p)
+    a_x, b_x = taylor_shift(f.num, -1, p), taylor_shift(f.den, -1, p)
+    top = _pmul(F, a_x, _pdivmod(F, _spread(b_x, p), b_x)[0])
+    for i in range(0, len(top), p):
+        top[i] = 0
+    return rat_fp(taylor_shift(top, 1, p), _spread(list(f.den), p), p)
+
+
+def _criterion_in_t(f, delta):
+    # the criterion by T-basis composition: den(U(F + (-1)**delta F(iota)))
+    # split as (1+T)**k * rest by repeated division
+    p, F = f.p, _Fp(f.p)
+    combo = rat_add(f, rat_scale(compose_inv(f), -1 if delta % 2 else 1))
+    den, k = list(_u_rat_by_euclid(combo).den), 0
+    while len(den) > 1 and not _pdivmod(F, den, [1, 1])[1]:
+        den, k = _pdivmod(F, den, [1, 1])[0], k + 1
+    if len(den) <= 1:
+        return CriterionVerdict(True, k, None)
+    return CriterionVerdict(False, None, tuple(den))
+
+
+@st.composite
+def criterion_inputs(draw):
+    p = draw(st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29]))
+    coeff = st.integers(min_value=0, max_value=p - 1)
+    num = draw(st.lists(coeff, max_size=5))
+    den = [draw(st.integers(min_value=1, max_value=p - 1))] + draw(st.lists(coeff, max_size=2))
+    shape = draw(st.sampled_from(["random", "repeated", "one_plus_t_power",
+                                  "frobenius", "frobenius_plus_poly"]))
+    if shape == "repeated":
+        den = _mul_mod_p(den, den, p)
+    elif shape == "one_plus_t_power":
+        for _ in range(draw(st.integers(min_value=p, max_value=p + 3))):
+            den = _mul_mod_p(den, [1, 1], p)
+    elif p <= 13 and shape.startswith("frobenius"):
+        # in F_p(x**p), U = 0; a polynomial on top leaves U(H) with a
+        # denominator x**k only, so the Cartier numerator holds more of each
+        # other factor of H's denominator than its p-th power does
+        num = taylor_shift(_spread_x(taylor_shift(num[:2], -1, p), p), 1, p)
+        den = taylor_shift(_spread_x(taylor_shift(den[:2], -1, p), p), 1, p)
+        if shape == "frobenius_plus_poly":
+            poly = draw(st.lists(coeff, min_size=1, max_size=3))
+            num = _add_mod_p(num, _mul_mod_p(poly, den, p), p)
+    return rat_fp(num, den, p), draw(st.integers(min_value=0, max_value=p - 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(criterion_inputs())
+def test_criterion_matches_t_basis_route(case):
+    f, delta = case
+    for d in (delta, delta + 1):  # both parities
+        assert sym_poly_criterion(f, d) == _criterion_in_t(f, d)
+
+
+def test_mu_formula_refuses_inexact_truncation():
+    # the combination's numerator has 55 coefficients, more than R(6, 1)
+    # holds: the exactness guard in RingElem must refuse, never return mu = 1
+    p = 5
+    num = [5 * math.comb(1, i) + math.comb(2, i) - math.comb(27, i) for i in range(28)]
+    f = rat_zp(num, [1], p)
+    for delta in (1, 3):
+        with pytest.raises(ValueError, match="exceeds p"):
+            mu_gamma_formula(f, delta)
+
+
 def test_mu_formula_branches(rng):
     p = 5
     # mu additivity: p * (unit series)
@@ -307,6 +388,15 @@ def _subst_power(coeffs, c, p):
             out = [(a + co * b) % p for a, b in
                    zip(out + [0] * (len(power) - len(out)), power)]
         power = _mul_mod_p(power, base, p)
+    return out
+
+
+def _add_mod_p(a, b, p):
+    out = [0] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] = x
+    for i, x in enumerate(b):
+        out[i] = (out[i] + x) % p
     return out
 
 
