@@ -18,6 +18,11 @@ from math import gcd, prod
 from .padic import PadicInt, is_odd_prime, teichmuller, teichmuller_table
 
 
+# A conductor is refused above this before any table of d entries is built
+# (and before lfunc.bounds factors it); every conductor used is far below.
+MAX_CONDUCTOR = 10**6
+
+
 class CharacterTableError(ValueError):
     """The given value table is not a valid primitive character."""
 
@@ -94,6 +99,8 @@ def build_validate(d: int, table: dict[int, int], p: int) -> DirichletCharacter:
         raise ValueError(f"p must be an odd prime, got {p}")
     if d < 1 or d % p == 0:
         raise ValueError(f"conductor must be >= 1 and prime to p, got {d}")
+    if d > MAX_CONDUCTOR:
+        raise ValueError(f"conductor d = {d} is outside 1..{MAX_CONDUCTOR}")
     if d == 1:
         return trivial_character(p)
     normalized = {int(a) % d: int(r) for a, r in table.items()}
@@ -108,12 +115,12 @@ def build_validate(d: int, table: dict[int, int], p: int) -> DirichletCharacter:
             residues[a] = r
     if residues[1 % d] != 1:
         raise CharacterTableError("chi(1) must be 1")
-    for a in range(d):
-        for b in range(a, d):
-            if residues[a] and residues[b]:
-                if residues[a * b % d] != residues[a] * residues[b] % p:
-                    raise CharacterTableError(
-                        f"table is not multiplicative at ({a}, {b})")
+    # chi(a g) = chi(a) chi(g) for the generators g of (Z/d)* gives it for
+    # every product of them, that is for all pairs of units: O(d k)
+    for g, _ in _unit_group_generators(d):
+        for a in range(d):
+            if residues[a] and residues[a * g % d] != residues[a] * residues[g] % p:
+                raise CharacterTableError(f"table is not multiplicative at ({a}, {g})")
     for ell in _prime_factors(d):
         d2 = d // ell
         if all(residues[a] == 1 for a in range(d) if gcd(a, d) == 1 and a % d2 == 1 % d2):

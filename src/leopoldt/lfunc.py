@@ -2,9 +2,11 @@
 
 The pipeline: build the generating rational series F_chi (or, for
 conductor one, the surrogate G_c = F_chi - c sigma_c F_chi, which lies in
-the power-series ring), push it through U, gamma_{-delta} and the
-Leopoldt transform, divide out the surrogate factor, and flip variables
-with sigma_{-1}.  The result is the series f(T, theta) with
+the power-series ring), push it through gamma_{-delta} and the Leopoldt
+transform, divide out the surrogate factor, and flip variables with
+sigma_{-1}.  No U is applied: Gamma_delta kills the non-unit exponents and
+gamma_{-delta} keeps units and non-units apart, so Gamma_delta gamma_{-delta}
+U = Gamma_delta gamma_{-delta}.  The result is the series f(T, theta) with
 
     f(kappa**(-k) - 1, theta) = L_p(-k, theta),   kappa = 1 + p d,
 
@@ -16,6 +18,7 @@ representative shows a unit coefficient.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
 
 import numpy as np
@@ -23,7 +26,7 @@ import numpy as np
 from .padic import (
     MAX_RING_SIZE,
     PadicInt,
-    kappa_exponent_table,
+    kappa_unit_table,
     teichmuller,
     teichmuller_table,
     teichmuller_twist,
@@ -36,11 +39,11 @@ from .ring import (
     invariants,
     op_isotypic,
     op_leopoldt,
-    op_unit_part,
     substitute_exp,
 )
 from .ring import _ipoly_div_exact, _ipoly_trim
 from .characters import (
+    MAX_CONDUCTOR,
     DirichletCharacter,
     ThetaCharacter,
     lp_value,
@@ -58,8 +61,6 @@ from .ratfun import (
 MAX_MODULUS_BITS = 256
 # The bounds are exact integers of about phi(p-1) * log2(4p(p-1)) bits.
 MAX_BOUND_BITS = 2**14
-# phi(d) is found by trial division; larger conductors are refused first.
-MAX_CONDUCTOR = 10**6
 
 
 def require_ring_size(p: int, e: int) -> None:
@@ -133,6 +134,7 @@ def surrogate_h_poly(c: int) -> list[int]:
     return _ipoly_div_exact(_ipoly_trim(numer), [1, -2, 1])
 
 
+@lru_cache(maxsize=4)
 def g_c_surrogate(p: int, c: int, n: int, m: int) -> RingElem:
     """G_c = F_chi - c sigma_c(F_chi) for the conductor-one F_chi = -(1+T)/T.
 
@@ -161,10 +163,10 @@ def iwasawa_series(theta: ThetaCharacter, n: int, m: int,
                    c: int | None = None) -> RingElem:
     """f(T, theta) as an exact element of R(n, m), kappa = 1 + p d.
 
-    The source series is built one omega-level higher because the Leopoldt
-    transform consumes a level.  For d = 1 the surrogate factor is divided
-    out with the least valid multiplier c (or the one supplied), and the
-    final sigma_{-1} turns f(1/(1+T) - 1, theta) into f(T, theta).
+    The source is built one omega-level higher, as the Leopoldt transform
+    consumes one; no U is applied (see the module docstring).  For d = 1
+    the surrogate factor is divided out with the least valid multiplier c
+    (or the one supplied), and sigma_{-1} turns f(1/(1+T) - 1) into f(T).
     """
     p = theta.p
     chi = theta.chi
@@ -181,14 +183,12 @@ def iwasawa_series(theta: ThetaCharacter, n: int, m: int,
         elif pow(c, delta + 1, p) == 1:
             raise ValueError(f"multiplier c={c} has c**(delta+1) = 1 mod p")
         src = g_c_surrogate(p, c, n, m + 1)
-    h = op_unit_part(src)
-    h = op_isotypic(h, -delta)
-    h = op_leopoldt(h, delta, kappa)
+    h = op_leopoldt(op_isotypic(src, -delta), delta, kappa)
     if d == 1:
         pn = p**n
         beta = c * pow(teichmuller(c, p, n).value, delta, pn) % pn
-        # Log_p(c)/Log_p(kappa) mod p**m, from the table op_leopoldt just read
-        e_c = int(kappa_exponent_table(p, m + 1, kappa)[c]) if m >= 1 else 0
+        # e_c = Log_p(c)/Log_p(kappa) mod p**m: c's column in op_leopoldt's table
+        e_c = int(np.flatnonzero(kappa_unit_table(p, m + 1, kappa)[c - 1] == c)[0])
         h = h * _solve_binomial_inverse(p, n, m, beta, e_c)
     return substitute_exp(h, -1)
 

@@ -307,21 +307,27 @@ def kappa_exponents(units: list[PadicInt], kappa: PadicInt,
 
 
 @lru_cache(maxsize=16)
+def kappa_unit_table(p: int, level: int, kappa: int) -> np.ndarray:
+    """omega(r) * kappa**e mod p**level at row r-1, column e < p**(level-1):
+    kappa has that order, so each unit a < p**level shows once, at column
+    Log_p(a)/Log_p(kappa) of row (a mod p) - 1.  A read-only int64 array."""
+    require_generator(kappa, p)
+    q = p**level
+    tei = np.array(teichmuller_table(p, level)[1:], dtype=np.int64)
+    out = np.outer(tei, _power_table(kappa, q // p, q)) % q
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=16)
 def kappa_exponent_table(p: int, level: int, kappa: int) -> np.ndarray:
     """Exponents Log_p(a)/Log_p(kappa) mod p**(level-1) for all units a < p**level.
 
-    Entry a is 0 for non-units.  Used to apply the Leopoldt transform on
-    whole coefficient vectors; the output precision level-1 is exactly what
-    a residue a mod p**level determines.  kappa has order p**(level-1) in
-    (Z/p**level)*, so the units are the omega(r) * kappa**e with
-    e < p**(level-1), and the table is filled by enumerating them.  The
-    result is a read-only int64 array.
+    Entry a is 0 for non-units; a mod p**level determines exactly this
+    precision.  The column indices of `kappa_unit_table`, read-only int64.
     """
-    require_generator(kappa, p)
-    q = p**level
-    order = q // p
-    tei = np.array(teichmuller_table(p, level)[1:], dtype=np.int64)
-    out = np.zeros(q, dtype=np.int64)
-    out[np.outer(tei, _power_table(kappa, order, q)) % q] = np.arange(order, dtype=np.int64)
+    units = kappa_unit_table(p, level, kappa)
+    out = np.zeros(p**level, dtype=np.int64)
+    out[units] = np.arange(units.shape[1], dtype=np.int64)
     out.flags.writeable = False
     return out

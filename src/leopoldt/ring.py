@@ -16,8 +16,10 @@ Every operator of the calculus is an exponent map there, O(p**m):
 * isotypic      gamma_delta                           averages over mu_{p-1},
 * Leopoldt      Gamma_delta                           maps level m to m-1.
 
-mu_{p-1} acts freely on the nonzero exponents, so gamma_delta is one
-twisted sum per orbit.  The monomial coefficients (the canonical
+gamma_delta and Gamma_delta are twisted orbit sums, twist @ view[table]
+mod p**n over cached int64 tables of exponents (the mu_{p-1}-orbits of
+the nonzero exponents; the units omega(r) kappa**e), with one int64 guard
+and one exact fallback.  The monomial coefficients (the canonical
 representative of degree < p**m, which carries the Weierstrass data) are
 computed exactly only for `coeffs` and the series report; invariant
 certification needs them mod p only, which Lucas's theorem gives in
@@ -42,8 +44,7 @@ from .padic import (
     PadicInt,
     PrecisionError,
     is_odd_prime,
-    kappa_exponent_table,
-    require_generator,
+    kappa_unit_table,
     teichmuller_table,
     teichmuller_twist,
 )
@@ -53,15 +54,21 @@ class ContextMismatchError(ValueError):
     """Operands live in different rings R(n, m)."""
 
 
-def _stored(b, pn: int):
-    """b mod pn as stored: a read-only int64 array when pn < 2**31, else a
-    tuple of Python ints."""
+def _mod(x, pn: int):
+    """x % pn for an integer array: numpy divides int64 by a scalar on a
+    fast path that % lacks, and floor division keeps every sign right."""
+    return x - x // pn * pn
+
+
+def _stored(b, pn: int, reduced: bool = False):
+    """b mod pn as stored: a read-only int64 array when pn < 2**31 (a
+    `reduced` one as it is), else a tuple of Python ints."""
     if isinstance(b, np.ndarray) and (pn >= _NP_COEFF_LIMIT or b.dtype != np.int64):
         b = b.tolist()
     if pn >= _NP_COEFF_LIMIT:
         return tuple(int(x) % pn for x in b)
     if isinstance(b, np.ndarray):
-        arr = b % pn
+        arr = b if reduced else _mod(b, pn)
     else:
         arr = np.array([x % pn for x in b], dtype=np.int64)
     arr.flags.writeable = False
@@ -117,6 +124,13 @@ class RingElem:
         """The class of sum b[a] (1+T)**a; exactly p**m entries (a sequence
         of ints or an integer numpy array)."""
         return cls(p, n, m, None, _binomial=b)
+
+    @classmethod
+    def _from_reduced(cls, p: int, n: int, m: int, b: np.ndarray) -> "RingElem":
+        """An operator's output in R(n, m), its entries in [0, p**n) already."""
+        f = cls.__new__(cls)
+        f.p, f.n, f.m, f._bin = p, n, m, _stored(b, p**n, reduced=True)
+        return f
 
     @property
     def coeffs(self) -> tuple[int, ...]:
@@ -361,7 +375,7 @@ def op_unit_part(f: RingElem) -> RingElem:
     """
     out = _array(f._bin).copy()
     out[::f.p] = 0
-    return RingElem.from_binomial(f.p, f.n, f.m, out)
+    return RingElem._from_reduced(f.p, f.n, f.m, out)
 
 
 @lru_cache(maxsize=8)
@@ -383,53 +397,51 @@ def _orbit_index(p: int, m: int) -> np.ndarray:
     return idx
 
 
+def _twisted_orbit_sum(f: RingElem, rows: np.ndarray, twist: np.ndarray) -> np.ndarray:
+    """twist @ b[rows] mod p**n: each column sums p-1 products of entries
+    below p**n, in int64 while (p-1)(p**n-1)**2 < 2**63, else in exact
+    Python ints (always for a tuple view, where p**n > 2**31)."""
+    pn = f.p**f.n
+    b = _array(f._bin, exact=(f.p - 1) * (pn - 1) ** 2 >= 2**63)
+    return _mod(twist.astype(b.dtype, copy=False) @ b[rows], pn)
+
+
 def op_isotypic(f: RingElem, delta: int) -> RingElem:
     """gamma_delta: average of eta**delta * sigma_eta over eta in mu_{p-1}.
 
     On the orbit {omega(t) rep} the output at omega(s) rep is
-    omega(s)**delta / (p-1) * sum_t omega(t)**(-delta) b_{omega(t) rep}, and
-    the exponent 0 keeps b_0 only for delta = 0: O(p**m).  The Teichmuller
-    roots are used mod p**m for the exponents and mod p**n for the twists.
+    omega(s)**delta / (p-1) * sum_t omega(t)**(-delta) b_{omega(t) rep}: one
+    twisted orbit sum over the cached `_orbit_index` columns, O(p**m).  The
+    exponent 0 keeps b_0 only for delta = 0.  The Teichmuller roots are
+    used mod p**m for the exponents and mod p**n for the twists.
     """
     p, n, m = f.p, f.n, f.m
-    q = p**m
     pn = p**n
     delta %= p - 1
-    b = _array(f._bin)
-    # the twists share the view's dtype; in int64 each product is below
-    # 2**62, and p-1 reduced terms fit a sum
-    up = teichmuller_twist(p, n, delta)[1:] * pow(p - 1, -1, pn) % pn
-    down = teichmuller_twist(p, n, -delta)[1:]
     idx = _orbit_index(p, m)
-    sums = (b[idx] * down[:, None] % pn).sum(axis=0) % pn
-    out = np.empty(q, dtype=b.dtype)
-    out[idx] = up[:, None] * sums
-    out[0] = b[0] if delta == 0 else 0
-    return RingElem.from_binomial(p, n, m, out)
+    sums = _twisted_orbit_sum(f, idx, teichmuller_twist(p, n, -delta)[1:])
+    up = teichmuller_twist(p, n, delta)[1:] * pow(p - 1, -1, pn) % pn
+    out = np.empty(p**m, dtype=sums.dtype)
+    out[idx] = _mod(up.astype(sums.dtype, copy=False)[:, None] * sums, pn)
+    out[0] = f._bin[0] if delta == 0 else 0
+    return RingElem._from_reduced(p, n, m, out)
 
 
 def op_leopoldt(f: RingElem, delta: int, kappa: int) -> RingElem:
     """Leopoldt transform Gamma_delta: R(n, m) -> R(n, m-1).
 
-    Each unit exponent a contributes b_a * omega(a)**delta at the new
-    exponent Log_p(a)/Log_p(kappa) mod p**(m-1); non-unit exponents die.
-    One omega-level is consumed; the coefficient precision n is kept.
+    Each unit exponent a = omega(r) kappa**e contributes b_a * omega(r)**delta
+    at the new exponent e = Log_p(a)/Log_p(kappa) mod p**(m-1); non-unit
+    exponents die.  This is one twisted orbit sum over the columns of the
+    cached `kappa_unit_table`.  One omega-level is consumed; the
+    coefficient precision n is kept.
     """
     p, n, m = f.p, f.n, f.m
     if m < 1:
         raise ValueError("Gamma_delta needs level m >= 1")
-    require_generator(kappa, p)
-    q = p**m
-    pn = p**n
-    delta %= p - 1
-    exps = kappa_exponent_table(p, m, kappa)
-    # each target sums at most q twisted products: exact ints past the guard
-    b = _array(f._bin, exact=q * (pn - 1) ** 2 >= 2**62)
-    # twist by exponent residue mod p; the zero at residue 0 kills non-units
-    tw = teichmuller_twist(p, n, delta).astype(b.dtype, copy=False)
-    out = np.zeros(q // p, dtype=b.dtype)
-    np.add.at(out, exps, (b.reshape(-1, p) * tw).ravel())
-    return RingElem.from_binomial(p, n, m - 1, out)
+    twist = teichmuller_twist(p, n, delta % (p - 1))[1:]
+    out = _twisted_orbit_sum(f, kappa_unit_table(p, m, kappa), twist)
+    return RingElem._from_reduced(p, n, m - 1, out)
 
 
 # -- predicates and invariants -------------------------------------------

@@ -1,6 +1,8 @@
 import random
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leopoldt import characters
 from leopoldt.characters import (
@@ -68,6 +70,66 @@ def test_rejects_imprimitive_with_witness():
 def test_rejects_non_multiplicative():
     with pytest.raises(CharacterTableError, match="multiplicative"):
         build_validate(5, {1: 1, 2: 2, 3: 2, 4: 1}, 7)
+
+
+def _multiplicative_by_pairs(d, residues, p):
+    # the full check over every pair of units, O(d**2)
+    units = [a for a in range(d) if gcd(a, d) == 1]
+    return all(residues[a * b % d] == residues[a] * residues[b] % p
+               for a in units for b in units)
+
+
+def _assert_validation_matches_pairs(d, residues, p):
+    try:
+        build_validate(d, {a: r for a, r in enumerate(residues) if r}, p)
+        refusal = None
+    except CharacterTableError as exc:
+        refusal = str(exc)
+    if _multiplicative_by_pairs(d, residues, p):
+        assert refusal is None or "not primitive" in refusal, (d, residues, refusal)
+    else:
+        assert refusal is not None and "not multiplicative" in refusal, (d, residues)
+
+
+@pytest.mark.parametrize("p", [7, 13])
+def test_multiplicativity_by_generators_matches_all_pairs(p):
+    # every primitive character of conductor d <= 30, and each table that
+    # differs from one in a single unit value
+    count = 0
+    for d in range(3, 31):
+        if d % p == 0:
+            continue
+        for chi in characters_mod(d, p):
+            _assert_validation_matches_pairs(d, chi.residues, p)
+            for a in range(2, d):
+                for h in (p - 1, 2):
+                    if chi.residues[a]:
+                        changed = list(chi.residues)
+                        changed[a] = changed[a] * h % p
+                        _assert_validation_matches_pairs(d, changed, p)
+                        count += 1
+    assert count >= 500
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_multiplicativity_by_generators_random_tables(data):
+    p = data.draw(st.sampled_from((3, 5, 7)))
+    d = data.draw(st.integers(min_value=2, max_value=48).filter(lambda d: d % p))
+    residues = [0] * d
+    for a in range(d):
+        if gcd(a, d) == 1:
+            # mostly +-1 so that multiplicative tables are drawn too
+            residues[a] = 1 if a == 1 % d else data.draw(
+                st.sampled_from((1, p - 1, 1, p - 1, 2 % p or 1)))
+    _assert_validation_matches_pairs(d, residues, p)
+
+
+def test_rejects_conductor_above_bound():
+    # refused before the table of d residues is allocated
+    with pytest.raises(ValueError, match="outside 1..1000000"):
+        build_validate(10**12 + 1, {1: 1}, 5)
+    assert characters.MAX_CONDUCTOR == 10**6
 
 
 def test_rejects_conductor_divisible_by_p():

@@ -248,3 +248,17 @@ def test_bounds_refuses_conductor_before_factoring(monkeypatch, capsys, d):
     assert time.monotonic() - t0 < 1
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("d", [10**6 + 1, 10**12 + 1])
+def test_character_file_conductor_refused_before_allocation(tmp_path, capsys, d):
+    # a table of d residues was allocated before any size check: d = 10**12 + 1
+    # ended in a MemoryError traceback
+    chi = tmp_path / "huge.json"
+    chi.write_text(json.dumps({"p": 5, "d": d, "values": {"1": 0}}))
+    t0 = time.monotonic()
+    code = main(["invariants", "--p", "5", "--character-file", str(chi), "--delta", "0"])
+    captured = capsys.readouterr()
+    assert time.monotonic() - t0 < 1
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: conductor d = {d} is outside 1..1000000\n"

@@ -23,11 +23,14 @@ from leopoldt.lfunc import (
     surrogate_h_poly,
     valid_multipliers,
 )
-from leopoldt.padic import is_odd_prime, teichmuller
+from leopoldt.padic import is_odd_prime, kappa_exponent_table, teichmuller
 from leopoldt.ring import (
     RingElem,
+    _solve_binomial_inverse,
     invariants,
     invert_unit,
+    op_isotypic,
+    op_leopoldt,
     op_unit_part,
     ring_one,
     substitute_exp,
@@ -358,3 +361,45 @@ def test_f_chi_matches_rational_construction():
                     assert f_chi(chi, n, m) == rational_f_chi(chi, n, m), (chi, n, m)
                     count += 1
     assert count > 500
+
+
+# -- the pipeline without U -------------------------------------------------
+#
+# Gamma_delta kills the non-unit exponents, and gamma_{-delta} maps units to
+# units and non-units to non-units, so Gamma_delta gamma_{-delta} U equals
+# Gamma_delta gamma_{-delta}: iwasawa_series applies no U.  The route with U
+# is kept here as the reference.
+
+
+def series_with_unit_part(theta, n, m):
+    """source -> U -> gamma_{-delta} -> Gamma_delta -> surrogate division -> sigma_{-1}."""
+    p, d, delta = theta.p, theta.chi.d, theta.delta
+    kappa = 1 + p * d
+    if d >= 2:
+        src = f_chi(theta.chi, n, m + 1)
+    else:
+        c = valid_multipliers(p, delta)[0]
+        src = g_c_surrogate(p, c, n, m + 1)
+    h = op_leopoldt(op_isotypic(op_unit_part(src), -delta), delta, kappa)
+    if d == 1:
+        pn = p**n
+        beta = c * pow(teichmuller(c, p, n).value, delta, pn) % pn
+        e_c = int(kappa_exponent_table(p, m + 1, kappa)[c])
+        h = h * _solve_binomial_inverse(p, n, m, beta, e_c)
+    return substitute_exp(h, -1)
+
+
+# the (p, d) grid of the oracle benchmark workload
+ORACLE_CONDUCTORS = ((7, 3), (7, 4), (7, 8), (11, 3), (13, 4))
+
+
+def test_series_without_unit_part_matches_route_with_it():
+    cases = [(theta, 2, 1) for p in range(3, 60) if is_odd_prime(p)
+             for theta in enumerate_even_theta(p, 1)]
+    assert len(cases) == sum((p - 3) // 2 for p in range(3, 60) if is_odd_prime(p))
+    oracle = [(theta, 3, 2) for p, d in ORACLE_CONDUCTORS
+              for theta in enumerate_even_theta(p, d) if theta.chi.d >= 2]
+    assert len(oracle) > 20
+    for theta, n, m in cases + oracle:
+        assert (iwasawa_series(theta, n, m).binomial
+                == series_with_unit_part(theta, n, m).binomial), (theta, n, m)

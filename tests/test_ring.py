@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -459,6 +461,55 @@ def test_isotypic_int64_boundary(rng, p, n, m):
         f = RingElem.from_binomial(p, n2, m, b)
         for delta in (0, 1, p - 2):
             assert op_isotypic(f, delta).binomial == _isotypic_reference(b, p, n2, m, delta)
+
+
+def _gamma_orbit_reference(b, p, n, m, delta):
+    # gamma_delta in Python ints over the orbit {omega(t) x} of each exponent:
+    # out at x averages omega(t)**delta b at omega(t)**(-1) x over t in 1..p-1
+    q, pn = p**m, p**n
+    tw = [pow(pow(r, p ** (n - 1), pn), delta, pn) for r in range(p)]
+    inv_lift = [0] + [pow(pow(t, -1, p), p ** (m - 1), q) for t in range(1, p)]
+    inv = pow(p - 1, -1, pn)
+    out = [b[0] if delta == 0 else 0]
+    out += [inv * sum(tw[t] * b[inv_lift[t] * x % q] for t in range(1, p)) % pn
+            for x in range(1, q)]
+    return tuple(out)
+
+
+def _leopoldt_orbit_reference(b, p, n, m, delta, kappa):
+    # Gamma_delta in Python ints: out at e sums omega(r)**delta b at the units
+    # omega(r) kappa**e, r in 1..p-1
+    q, pn = p**m, p**n
+    tw = [pow(pow(r, p ** (n - 1), pn), delta, pn) for r in range(p)]
+    lift = [pow(r, p ** (m - 1), q) for r in range(p)]
+    return tuple(sum(tw[r] * b[lift[r] * pow(kappa, e, q) % q] for r in range(1, p)) % pn
+                 for e in range(q // p))
+
+
+# gamma and Gamma sum p-1 twisted products per output entry: in int64 while
+# (p-1)(p**n - 1)**2 < 2**63, in exact ints past it.  (13, 8) is the closest
+# point below, (19, 7) lies between 2**63 and 2**64, and (7, 12) has a tuple view.
+@pytest.mark.parametrize("p, n, m, exact", [
+    (3, 19, 4, False), (5, 13, 3, False), (13, 8, 2, False),
+    (7, 11, 2, True), (19, 7, 2, True), (7, 12, 2, True)])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_twisted_orbit_sums_at_int64_guard(p, n, m, exact, data):
+    import leopoldt.ring as ring
+
+    q, pn = p**m, p**n
+    assert ((p - 1) * (pn - 1) ** 2 >= 2**63) == exact
+    near_top = st.integers(min_value=pn - 3, max_value=pn - 1)
+    entry = data.draw(st.sampled_from((near_top, st.integers(0, pn - 1))))
+    b = data.draw(st.lists(entry, min_size=q, max_size=q))
+    f = RingElem.from_binomial(p, n, m, b)
+    with mock.patch.object(ring, "_array", wraps=ring._array) as spy:
+        for delta in range(p - 1):
+            assert op_isotypic(f, delta).binomial == _gamma_orbit_reference(b, p, n, m, delta)
+            for kappa in (1 + p, 1 + 2 * p):
+                assert op_leopoldt(f, delta, kappa).binomial == _leopoldt_orbit_reference(
+                    b, p, n, m, delta, kappa)
+    assert {call.kwargs["exact"] for call in spy.call_args_list} == {exact}
 
 
 # -- storage: the int64 view against plain loops, and the exact fallback ----
