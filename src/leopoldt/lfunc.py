@@ -40,12 +40,14 @@ from .ring import (
     op_isotypic,
     op_leopoldt,
     substitute_exp,
+    taylor_shift,
 )
-from .ring import _ipoly_div_exact, _ipoly_trim
+from .ring import _pdiv_exact
 from .characters import (
     MAX_CONDUCTOR,
     DirichletCharacter,
     ThetaCharacter,
+    _prime_factors,
     lp_value,
     enumerate_even_theta,
 )
@@ -54,7 +56,6 @@ from .ratfun import (
     CriterionVerdict,
     rat_fp,
     sym_poly_criterion,
-    taylor_shift,
 )
 
 # Coefficients are carried mod p**n; a modulus of more bits is refused.
@@ -84,15 +85,8 @@ def require_precision(p: int, n: int) -> None:
 
 def euler_phi(n: int) -> int:
     out = n
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out -= out // f
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out -= out // n
+    for ell in _prime_factors(n):
+        out -= out // ell
     return out
 
 
@@ -125,13 +119,9 @@ def f_chi(chi: DirichletCharacter, n: int, m: int) -> RingElem:
 
 
 def surrogate_h_poly(c: int) -> list[int]:
-    """h_c(x) = ((c-1) x**c - c x**(c-1) + 1) / (x-1)**2, an exact integer
-    polynomial (the numerator has a double root at 1)."""
-    numer = [0] * (c + 1)
-    numer[0] = 1
-    numer[c - 1] = -c
-    numer[c] += c - 1
-    return _ipoly_div_exact(_ipoly_trim(numer), [1, -2, 1])
+    """h_c(x) = ((c-1) x**c - c x**(c-1) + 1) / (x-1)**2 = 1 + 2x + ...
+    + (c-1) x**(c-2), the derivative of (x**c - 1)/(x - 1)."""
+    return list(range(1, c))
 
 
 @lru_cache(maxsize=4)
@@ -346,7 +336,7 @@ def cyclotomic_poly(d: int) -> list[int]:
     poly = [-1] + [0] * (d - 1) + [1]  # x**d - 1
     for d2 in range(1, d):
         if d % d2 == 0:
-            poly = _ipoly_div_exact(poly, cyclotomic_poly(d2))
+            poly = _pdiv_exact(poly, cyclotomic_poly(d2))
     return poly
 
 

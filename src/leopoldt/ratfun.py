@@ -7,6 +7,9 @@ the operator D = (1+T) d/dT acts rationally, U = D**(p-1) in
 characteristic p is the Cartier projection in x = 1+T (see _cartier_x),
 the involution T -> (1+T)**(-1) - 1 is x -> 1/x, and mu of Gamma_delta(F)
 is read off the content of exact truncations (see mu_gamma_formula).
+
+The polynomial arithmetic and the x <-> T basis change `taylor_shift` are
+`ring`'s dense-polynomial helpers, run here over `_Fp(p)` or `_QQ`.
 """
 
 from __future__ import annotations
@@ -15,7 +18,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .padic import is_odd_prime
-from .ring import RingElem, invert_unit, op_unit_part
+from .ring import (
+    RingElem,
+    _Fp,
+    _padd,
+    _pdivmod,
+    _pgcd_monic,
+    _pmul,
+    _pscale,
+    _psub,
+    _QQ,
+    _trim,
+    invert_unit,
+    op_unit_part,
+    taylor_shift,
+)
 
 
 # U over F_p builds polynomials of degree p * deg(den) in x = 1+T, and
@@ -25,140 +42,6 @@ MAX_CARTIER_DEGREE = 4000
 
 class NotInPowerSeriesRingError(ValueError):
     """Denominator vanishes at T = 0: not an element of the power-series ring."""
-
-
-# -- coefficient fields ----------------------------------------------------
-
-
-class _Fp:
-    """Arithmetic of F_p for the generic polynomial helpers."""
-
-    def __init__(self, p: int):
-        self.p = p
-
-    def norm(self, x):
-        return x % self.p
-
-    def add(self, x, y):
-        return (x + y) % self.p
-
-    def sub(self, x, y):
-        return (x - y) % self.p
-
-    def mul(self, x, y):
-        return (x * y) % self.p
-
-    def inv(self, x):
-        return pow(x, -1, self.p)
-
-    zero = 0
-    one = 1
-
-
-class _QQ:
-    """Arithmetic of Q with Fraction coefficients."""
-
-    @staticmethod
-    def norm(x):
-        return Fraction(x)
-
-    @staticmethod
-    def add(x, y):
-        return x + y
-
-    @staticmethod
-    def sub(x, y):
-        return x - y
-
-    @staticmethod
-    def mul(x, y):
-        return x * y
-
-    @staticmethod
-    def inv(x):
-        return 1 / Fraction(x)
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-
-def _trim(a: list) -> list:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _padd(F, a, b):
-    out = [F.zero] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] = F.add(out[i], x)
-    for i, x in enumerate(b):
-        out[i] = F.add(out[i], x)
-    return _trim(out)
-
-
-def _pneg(F, a):
-    return [F.sub(F.zero, x) for x in a]
-
-
-def _psub(F, a, b):
-    return _padd(F, a, _pneg(F, b))
-
-
-def _pmul(F, a, b):
-    if not a or not b:
-        return []
-    out = [F.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x != 0:
-            for j, y in enumerate(b):
-                if y != 0:
-                    out[i + j] = F.add(out[i + j], F.mul(x, y))
-    return _trim(out)
-
-
-def _pscale(F, a, c):
-    return _trim([F.mul(c, x) for x in a])
-
-
-def _pdivmod(F, a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    inv_lead = F.inv(b[-1])
-    q = [F.zero] * max(len(a) - len(b) + 1, 0)
-    for i in range(len(a) - len(b), -1, -1):
-        c = F.mul(a[i + len(b) - 1], inv_lead)
-        q[i] = c
-        if c != 0:
-            for j, y in enumerate(b):
-                a[i + j] = F.sub(a[i + j], F.mul(c, y))
-    return _trim(q), _trim(a)
-
-
-def _pgcd_monic(F, a, b):
-    while b:
-        a, b = b, _pdivmod(F, a, b)[1]
-    if a:
-        a = _pscale(F, a, F.inv(a[-1]))
-    return a
-
-
-def _pderive(F, a):
-    return _trim([F.mul(F.norm(i), a[i]) for i in range(1, len(a))])
-
-
-def taylor_shift(coeffs, s: int, p: int) -> list[int]:
-    """Coefficients of P(y + s) over F_p, given those of P(y).
-
-    s = 1 rewrites a polynomial in x = 1+T as one in T; s = -1 goes back.
-    Repeated synthetic division, O(deg**2)."""
-    a = _trim([c % p for c in coeffs])
-    s %= p
-    for i in range(len(a) - 1):
-        for j in range(len(a) - 2, i - 1, -1):
-            a[j] = (a[j] + s * a[j + 1]) % p
-    return a
 
 
 def _spread(a, p: int) -> list[int]:
@@ -216,8 +99,8 @@ def rat_fp(num, den, p: int) -> RatFuncFp:
     if not is_odd_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     F = _Fp(p)
-    num = _trim([F.norm(x) for x in num])
-    den = _trim([F.norm(x) for x in den])
+    num = _trim(num, p)
+    den = _trim(den, p)
     if not den:
         raise ZeroDivisionError("zero denominator")
     g = _pgcd_monic(F, num, den)
@@ -276,7 +159,7 @@ def rat_add(f, g):
 
 def rat_scale(f, c):
     F = f.field
-    return _remake(f, _pscale(F, list(f.num), F.norm(c)), list(f.den))
+    return _remake(f, _pscale(F, list(f.num), c), list(f.den))
 
 
 def rat_is_zero(f) -> bool:
@@ -287,9 +170,9 @@ def d_rat(f):
     """D(F) = (1+T) F'(T), reduced."""
     F = f.field
     num, den = list(f.num), list(f.den)
-    dn, dd = _pderive(F, num), _pderive(F, den)
-    top = _psub(F, _pmul(F, dn, den), _pmul(F, num, dd))
-    top = _pmul(F, [F.one, F.one], top)
+    dn = [i * c for i, c in enumerate(num)][1:]
+    dd = [i * c for i, c in enumerate(den)][1:]
+    top = _pmul(F, [1, 1], _psub(F, _pmul(F, dn, den), _pmul(F, num, dd)))
     bot = _pmul(F, den, den)
     return _remake(f, top, bot)
 
@@ -345,12 +228,12 @@ def compose_inv(f):
     """
     F = f.field
     deg = max(len(f.num), len(f.den)) - 1
-    it_num = [F.zero, F.sub(F.zero, F.one)]  # -T
-    it_den = [F.one, F.one]                  # 1+T
+    it_num = [0, -1]  # -T
+    it_den = [1, 1]   # 1+T
 
     def subst(poly):
         acc = []
-        power_num = [F.one]
+        power_num = [1]
         for c in poly:
             if c != 0:
                 tail = power_num
@@ -361,23 +244,6 @@ def compose_inv(f):
         return acc
 
     return _remake(f, subst(list(f.num)), subst(list(f.den)))
-
-
-def series_fp(f: RatFuncFp, count: int) -> list[int]:
-    """First `count` Taylor coefficients of F over F_p (independent of the
-    quotient-ring machinery; used as a cross-module oracle)."""
-    p = f.p
-    num = list(f.num) + [0] * count
-    den = list(f.den)
-    inv0 = pow(den[0], -1, p)
-    out = []
-    for k in range(count):
-        c = (num[k] * inv0) % p
-        out.append(c)
-        if c:
-            for j in range(1, min(len(den), count - k)):
-                num[k + j] = (num[k + j] - c * den[j]) % p
-    return out
 
 
 def to_ring_elem(f: RatFuncZp, n: int, m: int) -> RingElem:
@@ -414,11 +280,6 @@ def _x_power_verdict(den_x, p: int) -> CriterionVerdict:
     if len(rest) <= 1:
         return CriterionVerdict(True, k, None)
     return CriterionVerdict(False, None, tuple(rest))
-
-
-def is_one_plus_t_denominator(f: RatFuncFp) -> CriterionVerdict:
-    """Is F of the shape polynomial / (1+T)**n (the rational pseudo-polynomials)?"""
-    return _x_power_verdict(taylor_shift(f.den, -1, f.p), f.p)
 
 
 def sym_combination(f, delta: int):

@@ -25,6 +25,10 @@ computed exactly only for `coeffs` and the series report; invariant
 certification needs them mod p only, which Lucas's theorem gives in
 O(m p**(m+1)).
 
+The dense-polynomial helpers here (`_pmul`, `_pdivmod`, ..., and the
+x <-> T shift `taylor_shift` behind `RingElem(coeffs)` and `coeffs`) also
+serve `ratfun` and `lfunc`.
+
 Everything is pure and exact at the stated precision; where an operator
 genuinely loses precision (D, whose multiplier is only known mod p**m) the
 output records the smaller n rather than keeping stale digits.
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -109,12 +114,11 @@ class RingElem:
         q = p**m
         pn = p**n
         if _binomial is None:
-            c = [x % pn for x in coeffs]
+            c = list(coeffs)
             if len(c) > q:
                 raise ValueError(f"{len(c)} coefficients exceeds p**m = {q}")
-            while c and c[-1] == 0:
-                c.pop()
-            _binomial = _coeffs_to_binomial(c, q, pn)
+            b = taylor_shift(c, -1, pn)
+            _binomial = b + [0] * (q - len(b))
         if len(_binomial) != q:
             raise ValueError("binomial view must have length p**m")
         self._bin = _stored(_binomial, pn)
@@ -135,7 +139,8 @@ class RingElem:
     @property
     def coeffs(self) -> tuple[int, ...]:
         """Monomial coefficients of the canonical representative, O(Q^2)."""
-        return _binomial_to_coeffs(_ints(self._bin), self.p**self.n)
+        c = taylor_shift(_ints(self._bin), 1, self.p**self.n)
+        return tuple(c + [0] * (self.p**self.m - len(c)))
 
     @property
     def binomial(self) -> tuple[int, ...]:
@@ -209,57 +214,124 @@ def ring_one(p: int, n: int, m: int) -> RingElem:
     return RingElem(p, n, m, [1])
 
 
-def monomial(p: int, n: int, m: int, degree: int, c: int = 1) -> RingElem:
-    """c * T**degree."""
-    q = p**m
-    if not 0 <= degree < q:
-        raise ValueError("degree out of range")
-    coeffs = [0] * q
-    coeffs[degree] = c
-    return RingElem(p, n, m, coeffs)
-
-
-# -- basis change --------------------------------------------------------
+# -- dense polynomials ----------------------------------------------------
 #
-# (1+T)**a = sum_k C(a,k) T**k and T**k = sum_a C(k,a)(-1)**(k-a) (1+T)**a;
-# both matrices are unitriangular, so the transforms below are exact
-# inverses over Z/p**n, and exact identities of polynomials of degree < Q.
-# They run in O(L^2) for L = 1 + the last nonzero index, with a single
-# Pascal row kept in memory.
+# Coefficient lists, lowest degree first, without trailing zeros.  The
+# helpers use plain + - * and reduce each result once; the field argument
+# only describes the coefficients: `_Fp(p)` carries the modulus p, `_QQ`
+# none (Fraction coefficients, or ints wherever nothing is divided).
 
 
-def _binomial_to_coeffs(b, pn: int) -> tuple[int, ...]:
-    q = len(b)
-    length = max((a + 1 for a, ba in enumerate(b) if ba), default=0)
-    out = [0] * q
-    row = [0] * length  # binomial coefficients C(a, k) for current a
-    for a in range(length):
-        if a == 0:
-            row[0] = 1
-        else:
-            for k in range(a, 0, -1):
-                row[k] = (row[k] + row[k - 1]) % pn
-        ba = b[a]
-        if ba:
-            for k in range(a + 1):
-                out[k] = (out[k] + ba * row[k]) % pn
-    return tuple(out)
+class _Fp:
+    """F_p for the polynomial helpers: results are reduced mod p."""
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def inv(self, x):
+        return pow(x, -1, self.p)
 
 
-def _coeffs_to_binomial(c, q: int, pn: int) -> list[int]:
-    out = [0] * q
-    row = [0] * len(c)  # signed binomials C(k, a)(-1)**(k-a) for current k
-    for k, ck in enumerate(c):
-        if k == 0:
-            row[0] = 1
-        else:
-            for a in range(k, 0, -1):
-                row[a] = (row[a - 1] - row[a]) % pn
-            row[0] = (-row[0]) % pn
-        if ck:
-            for a in range(k + 1):
-                out[a] = (out[a] + ck * row[a]) % pn
-    return out
+class _QQ:
+    """Q for the polynomial helpers (and Z, where nothing is divided)."""
+
+    p = None
+
+    @staticmethod
+    def inv(x):
+        return 1 / Fraction(x)
+
+
+def _trim(a: list, p: int | None = None) -> list:
+    """a reduced mod p (when p is given), without its trailing zeros."""
+    if p:
+        a = [x % p for x in a]
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _padd(F, a, b) -> list:
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] += y
+    return _trim(out, F.p)
+
+
+def _psub(F, a, b) -> list:
+    return _padd(F, a, [-y for y in b])
+
+
+def _pscale(F, a, c) -> list:
+    return _trim([c * x for x in a], F.p)
+
+
+def _pmul(F, a, b) -> list:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return _trim(out, F.p)
+
+
+def _pdivmod(F, a, b) -> tuple[list, list]:
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    p, lb = F.p, len(b)
+    a = list(a)
+    inv_lead = F.inv(b[-1])
+    q = [0] * max(len(a) - lb + 1, 0)
+    for i in range(len(a) - lb, -1, -1):
+        c = a[i + lb - 1] * inv_lead
+        if p:
+            c %= p
+        q[i] = c
+        if c:
+            for j, y in enumerate(b, i):
+                a[j] -= c * y
+    return _trim(q), _trim(a[:lb - 1], p)
+
+
+def _pgcd_monic(F, a, b) -> list:
+    while b:
+        a, b = b, _pdivmod(F, a, b)[1]
+    return _pscale(F, a, F.inv(a[-1])) if a else a
+
+
+def _pdiv_exact(a, b) -> list[int]:
+    """a / b over Z, in Python ints; raises unless b divides a exactly."""
+    a = list(a)
+    lb = len(b)
+    q = [0] * max(len(a) - lb + 1, 0)
+    for i in range(len(a) - lb, -1, -1):
+        c, r = divmod(a[i + lb - 1], b[-1])
+        if r:
+            raise ArithmeticError("division not exact")
+        q[i] = c
+        if c:
+            for j, y in enumerate(b, i):
+                a[j] -= c * y
+    if any(a):
+        raise ArithmeticError("division not exact")
+    return _trim(q)
+
+
+def taylor_shift(coeffs, s: int, mod: int) -> list[int]:
+    """Coefficients of P(y + s) mod `mod`, trimmed, given those of P(y).
+
+    This is the basis change between x = 1+T and T: s = 1 rewrites a
+    polynomial in x (a binomial view) as one in T, s = -1 goes back.  Both
+    are exact identities of polynomials, so a view of degree < p**m keeps
+    its degree.  Repeated synthetic division, O(deg**2)."""
+    a = _trim([c % mod for c in coeffs])
+    s %= mod
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] = (a[j] + s * a[j + 1]) % mod
+    return a
 
 
 def _cyclic_convolve(a, b, p: int, n: int):
@@ -567,68 +639,10 @@ def k_index(s: PadicInt, delta: int, n: int) -> int:
 # divisions omega_{j+1}/omega_j = T**(p**j (p-1)) - p r = omega_j**(p-1) + p q.
 
 
-def _ipoly_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _ipoly_add(a, b) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] += x
-    return _ipoly_trim(out)
-
-
-def _ipoly_scale(a, c: int) -> list[int]:
-    return _ipoly_trim([c * x for x in a])
-
-
-def _ipoly_mul(a, b) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _ipoly_trim(out)
-
-
-def _ipoly_pow(a, k: int) -> list[int]:
-    out = [1]
-    for _ in range(k):
-        out = _ipoly_mul(out, a)
-    return out
-
-
-def _ipoly_div_exact(a, b) -> list[int]:
-    """Exact division by monic-leading b over Z; raises if a remainder is left."""
-    a = list(a)
-    out = [0] * max(len(a) - len(b) + 1, 0)
-    lead = b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1]
-        if c % lead != 0:
-            raise ArithmeticError("division not exact")
-        qc = c // lead
-        out[i] = qc
-        if qc:
-            for j, y in enumerate(b):
-                a[i + j] -= qc * y
-    if any(a):
-        raise ArithmeticError("division not exact")
-    return _ipoly_trim(out)
-
-
 def _omega_poly(p: int, j: int) -> list[int]:
     """omega_j(T) = (1+T)**(p**j) - 1 as an integer polynomial."""
-    out = _ipoly_pow([1, 1], p**j)
-    out[0] -= 1
-    return _ipoly_trim(out)
+    q = p**j
+    return [0] + [math.comb(q, k) for k in range(1, q + 1)]
 
 
 def decompose_t_power(j: int, p: int) -> list[list[int]]:
@@ -639,31 +653,32 @@ def decompose_t_power(j: int, p: int) -> list[list[int]]:
     """
     if j < 0:
         raise ValueError("j must be >= 0")
+    Z = _QQ
     deltas = [[1]]  # level 0: T = omega_0 * 1
     for lev in range(j):
         w_lo = _omega_poly(p, lev)
-        w_hi = _omega_poly(p, lev + 1)
-        ratio = _ipoly_div_exact(w_hi, w_lo)
+        ratio = _pdiv_exact(_omega_poly(p, lev + 1), w_lo)
+        w_pow = [1]  # w_lo**(p-2)
+        for _ in range(p - 2):
+            w_pow = _pmul(Z, w_pow, w_lo)
         t_pow = [0] * (p**lev * (p - 1)) + [1]
-        r = _ipoly_div_exact(_ipoly_add(t_pow, _ipoly_scale(ratio, -1)), [p])
-        q = _ipoly_div_exact(
-            _ipoly_add(ratio, _ipoly_scale(_ipoly_pow(w_lo, p - 1), -1)), [p])
-        qr = _ipoly_add(q, r)
+        r = _pdiv_exact(_psub(Z, t_pow, ratio), [p])
+        q = _pdiv_exact(_psub(Z, ratio, _pmul(Z, w_pow, w_lo)), [p])
+        qr = _padd(Z, q, r)
         new = [list(deltas[0])]
-        first = _ipoly_mul(r, deltas[0])
+        first = _pmul(Z, r, deltas[0])
         pow_p = 1
         for l in range(1, lev + 1):
-            w_gap = _ipoly_mul(_ipoly_pow(w_lo, p - 2), _omega_poly(p, lev - l))
-            first = _ipoly_add(first, _ipoly_scale(_ipoly_mul(w_gap, deltas[l]), pow_p))
+            w_gap = _pmul(Z, w_pow, _omega_poly(p, lev - l))
+            first = _padd(Z, first, _pscale(Z, _pmul(Z, w_gap, deltas[l]), pow_p))
             pow_p *= p
         new.append(first)
         for l in range(2, lev + 2):
-            new.append(_ipoly_mul(qr, deltas[l - 1]))
+            new.append(_pmul(Z, qr, deltas[l - 1]))
         deltas = new
     total: list[int] = []
     for l, d in enumerate(deltas):
-        term = _ipoly_scale(_ipoly_mul(_omega_poly(p, j - l), d), p**l)
-        total = _ipoly_add(total, term)
+        total = _padd(Z, total, _pscale(Z, _pmul(Z, _omega_poly(p, j - l), d), p**l))
     expected = [0] * (p**j) + [1]
     if total != expected:
         raise ArithmeticError("decomposition identity failed verification")

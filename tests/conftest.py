@@ -76,6 +76,23 @@ def poly_mod(a, b):
     return a
 
 
+def series_fp(f, count):
+    """First `count` Taylor coefficients of a RatFuncFp over F_p, by long
+    division (independent of the quotient-ring machinery)."""
+    p = f.p
+    num = list(f.num) + [0] * count
+    den = list(f.den)
+    inv0 = pow(den[0], -1, p)
+    out = []
+    for k in range(count):
+        c = (num[k] * inv0) % p
+        out.append(c)
+        if c:
+            for j in range(1, min(len(den), count - k)):
+                num[k + j] = (num[k + j] - c * den[j]) % p
+    return out
+
+
 def omega_poly(p, m):
     out = poly_pow([1, 1], p**m)
     out[0] -= 1

@@ -35,6 +35,7 @@ from leopoldt.ring import (
     ring_one,
     substitute_exp,
 )
+from conftest import series_fp
 
 
 def test_f_chi_closed_form_chi4():
@@ -113,7 +114,7 @@ def test_conductor_one_symmetry_on_rational_form():
     num = [Fraction(-1), Fraction(-1)]     # -(1+T)
     den = [Fraction(0), Fraction(1)]       # T
     # compose with iota fraction-free: deg 1 homogenization
-    comp_num = _padd(F, _pscale(F, [F.one, F.one], num[0]),
+    comp_num = _padd(F, _pscale(F, [1, 1], num[0]),
                      _pmul(F, [Fraction(0), Fraction(-1)], [num[1]]))
     comp_den = _pmul(F, [Fraction(0), Fraction(-1)], [den[1]])
     # -1 - F = (-den - num)/den
@@ -121,9 +122,30 @@ def test_conductor_one_symmetry_on_rational_form():
     assert _pmul(F, comp_num, den) == _pmul(F, tgt_num, comp_den)
 
 
+def _h_by_division(c):
+    # the defining quotient ((c-1) x**c - c x**(c-1) + 1) / (x-1)**2, by two
+    # synthetic divisions by x - 1
+    numer = [0] * (c + 1)
+    numer[0] = 1
+    numer[c - 1] = -c
+    numer[c] += c - 1
+    for _ in range(2):
+        quot = [0] * (len(numer) - 1)
+        carry = 0
+        for i in range(len(numer) - 1, 0, -1):
+            carry += numer[i]
+            quot[i - 1] = carry
+        assert carry + numer[0] == 0  # x = 1 is a root
+        numer = quot
+    while numer and numer[-1] == 0:
+        numer.pop()
+    return numer
+
+
 def test_surrogate_h_poly_integral():
-    for c in range(2, 11):
+    for c in range(2, 40):
         h = surrogate_h_poly(c)
+        assert h == _h_by_division(c)
         # (x-1)^2 h_c = (c-1) x^c - c x^{c-1} + 1 exactly
         back = [0] * (len(h) + 2)
         for i, x in enumerate(h):
@@ -257,7 +279,6 @@ def _assert_divisible(poly, factor, p):
 
 def test_fbar_matches_series_of_ring_image():
     # the mod-p rational F_chi agrees coefficientwise with the ring image
-    from leopoldt.ratfun import series_fp
     chi4 = build_validate(4, {1: 1, 3: 4}, 5)
     fbar = f_chi_bar(chi4)
     img = f_chi(chi4, 1, 2)

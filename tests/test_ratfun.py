@@ -11,23 +11,27 @@ from leopoldt.ratfun import (
     _pdivmod,
     _pmul,
     _spread,
+    _x_power_verdict,
     compose_inv,
     d_rat,
-    is_one_plus_t_denominator,
     mu_gamma_formula,
     rat_add,
     rat_fp,
     rat_is_zero,
     rat_scale,
     rat_zp,
-    series_fp,
     sym_poly_criterion,
     taylor_shift,
     to_ring_elem,
     u_rat,
 )
 from leopoldt.ring import invariants, op_derivative, op_isotypic, op_leopoldt, op_unit_part, substitute_exp
-from conftest import poly_mul
+from conftest import poly_mul, series_fp
+
+
+def is_one_plus_t_denominator(f):
+    """Is F of the shape polynomial / (1+T)**n (the rational pseudo-polynomials)?"""
+    return _x_power_verdict(taylor_shift(f.den, -1, f.p), f.p)
 
 
 def rand_fp(rng, p=5, dn=3, dd=3):

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -8,6 +9,14 @@ from leopoldt.padic import NotAUnitError, PadicInt, PrecisionError, kappa_expone
 from leopoldt.ring import (
     ContextMismatchError,
     RingElem,
+    _Fp,
+    _padd,
+    _pdiv_exact,
+    _pdivmod,
+    _pgcd_monic,
+    _pmul,
+    _psub,
+    _QQ,
     _solve_binomial_inverse,
     decompose_t_power,
     evaluate,
@@ -16,7 +25,6 @@ from leopoldt.ring import (
     invariants,
     invert_unit,
     k_index,
-    monomial,
     op_derivative,
     op_isotypic,
     op_leopoldt,
@@ -24,12 +32,26 @@ from leopoldt.ring import (
     ring_one,
     ring_zero,
     substitute_exp,
+    taylor_shift,
 )
-from conftest import brute_force_from_binomial, omega_poly, random_elem, random_monomial_elem
+from conftest import (
+    brute_force_from_binomial,
+    omega_poly,
+    poly_mul,
+    random_elem,
+    random_monomial_elem,
+)
 
 
 P, N, M = 5, 2, 2
 KAPPA = 6
+
+
+def monomial(p, n, m, degree, c=1):
+    """c * T**degree."""
+    coeffs = [0] * p**m
+    coeffs[degree] = c
+    return RingElem(p, n, m, coeffs)
 
 
 def x_power(p, n, m, a, c=1):
@@ -633,3 +655,194 @@ def test_invariants_lucas_matches_coeffs(rng, p):
                 rep = invariants(f)
                 assert rep.lambda_certified == first
                 assert rep.certified == (first is not None)
+
+
+# -- dense polynomials against the quadratic originals ------------------------
+#
+# The Pascal-row basis changes and the field helpers that dispatched every
+# coefficient operation through a method of the field, which the shared
+# helpers replaced; kept here as references.
+
+
+def _binomial_to_coeffs(b, pn):
+    q = len(b)
+    length = max((a + 1 for a, ba in enumerate(b) if ba), default=0)
+    out = [0] * q
+    row = [0] * length  # binomial coefficients C(a, k) for current a
+    for a in range(length):
+        if a == 0:
+            row[0] = 1
+        else:
+            for k in range(a, 0, -1):
+                row[k] = (row[k] + row[k - 1]) % pn
+        ba = b[a]
+        if ba:
+            for k in range(a + 1):
+                out[k] = (out[k] + ba * row[k]) % pn
+    return tuple(out)
+
+
+def _coeffs_to_binomial(c, q, pn):
+    out = [0] * q
+    row = [0] * len(c)  # signed binomials C(k, a)(-1)**(k-a) for current k
+    for k, ck in enumerate(c):
+        if k == 0:
+            row[0] = 1
+        else:
+            for a in range(k, 0, -1):
+                row[a] = (row[a - 1] - row[a]) % pn
+            row[0] = (-row[0]) % pn
+        if ck:
+            for a in range(k + 1):
+                out[a] = (out[a] + ck * row[a]) % pn
+    return out
+
+
+@st.composite
+def _shift_cases(draw):
+    p = draw(st.sampled_from([3, 5, 7]))
+    m = draw(st.integers(min_value=0, max_value=3))
+    # mod p, the int64 view's largest p**n and the tuple view's smallest
+    n = draw(st.sampled_from([1, _BELOW_2_31[p], _BELOW_2_31[p] + 1]))
+    pn = p**n
+    digits = st.integers(min_value=0, max_value=pn - 1)
+    c = draw(st.lists(digits, max_size=p**m))
+    return p, n, m, c
+
+
+@settings(max_examples=150, deadline=None)
+@given(_shift_cases())
+@example((7, 11, 2, [7**11 - 1] * 49))
+@example((3, 20, 3, [3**20 - 1] * 27))
+def test_taylor_shift_matches_pascal_rows(case):
+    p, n, m, c = case
+    q, pn = p**m, p**n
+    view = c + [0] * (q - len(c))
+    mono = _binomial_to_coeffs(view, pn)
+    back = _coeffs_to_binomial(c, q, pn)
+    assert tuple(taylor_shift(c, 1, pn) + [0] * q)[:q] == mono
+    assert (taylor_shift(c, -1, pn) + [0] * q)[:q] == back
+    assert RingElem.from_binomial(p, n, m, view).coeffs == mono
+    assert RingElem(p, n, m, c).binomial == tuple(back)
+    assert taylor_shift(taylor_shift(c, -1, pn), 1, pn) == taylor_shift(c, 0, pn)
+
+
+class _FpByMethods:
+    def __init__(self, p):
+        self.p = p
+
+    def add(self, x, y):
+        return (x + y) % self.p
+
+    def sub(self, x, y):
+        return (x - y) % self.p
+
+    def mul(self, x, y):
+        return (x * y) % self.p
+
+    def inv(self, x):
+        return pow(x, -1, self.p)
+
+    zero = 0
+
+
+class _QQByMethods:
+    @staticmethod
+    def add(x, y):
+        return x + y
+
+    @staticmethod
+    def sub(x, y):
+        return x - y
+
+    @staticmethod
+    def mul(x, y):
+        return x * y
+
+    @staticmethod
+    def inv(x):
+        return 1 / Fraction(x)
+
+    zero = Fraction(0)
+
+
+def _ref_trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _ref_pmul(F, a, b):
+    if not a or not b:
+        return []
+    out = [F.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x != 0:
+            for j, y in enumerate(b):
+                if y != 0:
+                    out[i + j] = F.add(out[i + j], F.mul(x, y))
+    return _ref_trim(out)
+
+
+def _ref_pdivmod(F, a, b):
+    a = list(a)
+    inv_lead = F.inv(b[-1])
+    q = [F.zero] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(a) - len(b), -1, -1):
+        c = F.mul(a[i + len(b) - 1], inv_lead)
+        q[i] = c
+        if c != 0:
+            for j, y in enumerate(b):
+                a[i + j] = F.sub(a[i + j], F.mul(c, y))
+    return _ref_trim(q), _ref_trim(a)
+
+
+def _ref_pgcd_monic(F, a, b):
+    while b:
+        a, b = b, _ref_pdivmod(F, a, b)[1]
+    if a:
+        a = _ref_trim([F.mul(F.inv(a[-1]), x) for x in a])
+    return a
+
+
+@st.composite
+def _poly_cases(draw):
+    if draw(st.booleans()):
+        p = draw(st.sampled_from([3, 5, 13, 101, 2**31 - 1]))
+        coeff = st.integers(min_value=0, max_value=p - 1)
+        fields = _Fp(p), _FpByMethods(p)
+    else:
+        coeff = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+        fields = _QQ(), _QQByMethods()
+    a, b, g = (_ref_trim(draw(st.lists(coeff, max_size=k))) for k in (9, 6, 4))
+    if g and draw(st.booleans()):  # a common factor, so the gcd is not 1
+        a, b = _ref_pmul(fields[1], a, g), _ref_pmul(fields[1], b, g)
+    return fields, a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(_poly_cases())
+def test_poly_helpers_match_method_dispatch(case):
+    (F, ref), a, b = case
+    assert _pmul(F, a, b) == _ref_pmul(ref, a, b)
+    assert _padd(F, a, b) == _ref_trim([ref.add(x, y) for x, y in zip(
+        a + [0] * (len(b) - len(a)), b + [0] * (len(a) - len(b)))])
+    assert _psub(F, _padd(F, a, b), b) == a
+    if b:
+        assert _pdivmod(F, a, b) == _ref_pdivmod(ref, a, b)
+    assert _pgcd_monic(F, a, b) == _ref_pgcd_monic(ref, a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(min_value=-50, max_value=50), max_size=8),
+       st.lists(st.integers(min_value=-5, max_value=5), min_size=2, max_size=5),
+       st.integers(min_value=1, max_value=9))
+def test_pdiv_exact_over_z(a, b, r):
+    a, b = _ref_trim(a), _ref_trim(b)
+    if len(b) < 2:
+        return
+    prod = poly_mul(a, b)
+    assert _pdiv_exact(prod, b) == a
+    assert all(type(x) is int for x in _pdiv_exact(prod, b))
+    with pytest.raises(ArithmeticError):
+        _pdiv_exact(_padd(_QQ, prod, [r]), b)
