@@ -25,7 +25,7 @@ from .ring import (
     op_unit_part,
     substitute_exp,
 )
-from .pseudo import PseudoPoly, equal_test, interp_check, to_ring
+from .pseudo import PseudoPoly, equal_test, to_ring
 from .ratfun import (
     RatFuncFp,
     RatFuncZp,

@@ -60,14 +60,29 @@ def _emit(doc: dict, args) -> None:
         sys.stdout.write(text)
 
 
+def _file_int(x, what: str) -> int:
+    """An integer of a character file: a JSON integer or a string of one."""
+    if isinstance(x, str):
+        return int(x)
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise ValueError(f"character file: {what} must be an integer, got {json.dumps(x)}")
+
+
 def _load_character(args) -> DirichletCharacter:
     if args.character_file:
         with open(args.character_file) as fh:
             doc = json.load(fh)
-        if int(doc["p"]) != args.p:
+        if not isinstance(doc, dict):
+            raise ValueError("character file must hold a JSON object")
+        if _file_int(doc["p"], "p") != args.p:
             raise ValueError(f"character file is for p={doc['p']}, not {args.p}")
+        d = _file_int(doc["d"], "d")
+        values = doc["values"]
+        if not isinstance(values, dict):
+            raise ValueError("character file: values must be an object")
         return character_from_omega_exponents(
-            int(doc["d"]), {int(a): int(e) for a, e in doc["values"].items()}, args.p)
+            d, {int(a): _file_int(e, f"value of {a}") for a, e in values.items()}, args.p)
     return trivial_character(args.p)
 
 
@@ -208,8 +223,8 @@ def _selftest_identities(p: int, seed: int, n: int, m: int, cases: int):
     check("gamma_d.gamma_d == gamma_d", lambda f: all(
         op_isotypic(op_isotypic(f, d), d) == op_isotypic(f, d) for d in deltas))
     check("gamma_d.gamma_e == 0 (d != e)", lambda f: all(
-        op_isotypic(op_isotypic(f, d), e).is_zero()
-        for d in deltas for e in deltas if d != e))
+        op_isotypic(g, e).is_zero()
+        for d, g in ((d, op_isotypic(f, d)) for d in deltas) for e in deltas if d != e))
     check("sum_d gamma_d == id", lambda f: _sum_gammas(f, deltas) == f)
     check("gamma_d.U == U.gamma_d", lambda f: all(
         op_isotypic(op_unit_part(f), d) == op_unit_part(op_isotypic(f, d))

@@ -42,7 +42,7 @@ from .ring import (
     substitute_exp,
     taylor_shift,
 )
-from .ring import _pdiv_exact
+from .ring import _Fp, _pdiv_exact
 from .characters import (
     MAX_CONDUCTOR,
     DirichletCharacter,
@@ -54,7 +54,7 @@ from .characters import (
 from .ratfun import (
     RatFuncFp,
     CriterionVerdict,
-    rat_fp,
+    _normal,
     sym_poly_criterion,
 )
 
@@ -347,14 +347,12 @@ def f_chi_bar(chi: DirichletCharacter) -> RatFuncFp:
         raise ValueError("conductor must be >= 2")
     num_x = [0] + [chi.residue(a) for a in range(1, d + 1)]
     den_x = [1] + [0] * (d - 1) + [-1]  # 1 - x**d
-    return rat_fp(taylor_shift(num_x, 1, p), taylor_shift(den_x, 1, p), p)
+    return _normal(_Fp(p), p, num_x, den_x)
 
 
 def g_c_bar(p: int, c: int) -> RatFuncFp:
     """Reduction mod p of the conductor-one surrogate G_c = x h_c(x) / S_c(x)."""
-    num_x = [0] + surrogate_h_poly(c)
-    den_x = [1] * c
-    return rat_fp(taylor_shift(num_x, 1, p), taylor_shift(den_x, 1, p), p)
+    return _normal(_Fp(p), p, [0] + surrogate_h_poly(c), [1] * c)
 
 
 @dataclass(frozen=True)
@@ -383,14 +381,13 @@ def not_pseudorational_report(chi: DirichletCharacter, delta: int,
     p = chi.p
     if chi.d >= 2:
         fbar = f_chi_bar(chi)
-        expected = taylor_shift(cyclotomic_poly(chi.d), 1, p)
+        expected = tuple(taylor_shift(cyclotomic_poly(chi.d), 1, p))
         label = chi.label()
     else:
         fbar = g_c_bar(p, c)
-        expected = taylor_shift([1] * c, 1, p)
+        expected = tuple(taylor_shift([1] * c, 1, p))
         label = f"G_{c} (d=1 surrogate)"
-    lead = pow(expected[-1], -1, p)
-    expected = tuple(x * lead % p for x in expected)
+    den = fbar.den
     verdict = sym_poly_criterion(fbar, delta)
     return PseudoRationalReport(label, delta % (p - 1),
-                                fbar.den == expected, expected, fbar.den, verdict)
+                                den == expected, expected, den, verdict)

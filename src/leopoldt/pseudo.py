@@ -25,7 +25,7 @@ from .padic import (
     teichmuller_table,
     teichmuller_twist,
 )
-from .ring import RingElem, k_index
+from .ring import RingElem
 
 
 class IndecisiveError(ValueError):
@@ -220,36 +220,3 @@ def apply_leopoldt(f: PseudoPoly, delta: int, kappa: int,
             [PadicInt(p, f.M, a) for _, a in units], PadicInt(p, f.M, kappa), f.M - 1)]
     out = [(c * tw[a % p] % pn, e % q_out) for (c, a), e in zip(units, exps)]
     return PseudoPoly(p, f.n, m_out, out, collided=f.collided)
-
-
-def interp_check(f: PseudoPoly, delta: int, s: PadicInt, j: int, kappa: int) -> bool:
-    """Interpolation congruence at precision p**(j+1).
-
-    Left side: Gamma_delta(f)(kappa**s - 1) = sum over unit exponents of
-    c * omega(a)**delta * <a>**s.  Right side: the exponent moment
-    sum c * a**k for k = [s]_{j+1} + d_j p**(j+1).  Both are evaluated
-    exactly and compared mod p**(j+1).
-    """
-    p = f.p
-    require_generator(kappa, p)
-    w = j + 1
-    if f.M < w or f.n < w:
-        raise PrecisionError(f"need precisions >= {w}")
-    pw = p**w
-    tei = teichmuller_table(p, w)
-    s_red = s.value % p**w if s.precision >= w else None
-    if s_red is None:
-        raise PrecisionError(f"need s mod p^{w}")
-    delta %= p - 1
-    lhs = 0
-    for c, a in f.terms:
-        if a % p == 0:
-            continue
-        om = tei[a % p]
-        ahat = (a * pow(om, -1, pw)) % pw
-        lhs = (lhs + c * pow(om, delta, pw) * pow(ahat, s_red, pw)) % pw
-    k = k_index(PadicInt(p, w, s_red), delta, j)
-    rhs = 0
-    for c, a in f.terms:
-        rhs = (rhs + c * pow(a, k, pw)) % pw
-    return lhs == rhs

@@ -1,15 +1,21 @@
 """Exact rational-function arithmetic over F_p and over p-integral rationals.
 
-Rational functions are kept reduced with a monic denominator that does not
-vanish at T = 0, i.e. they are the rational elements of the power-series
-ring.  This is the computable side of the pseudo-rationality machinery:
-the operator D = (1+T) d/dT acts rationally, U = D**(p-1) in
-characteristic p is the Cartier projection in x = 1+T (see _cartier_x),
-the involution T -> (1+T)**(-1) - 1 is x -> 1/x, and mu of Gamma_delta(F)
-is read off the content of exact truncations (see mu_gamma_formula).
+A rational function is stored as a reduced a/b of polynomials in x = 1+T,
+the binomial basis of `ring`: over F_p b is monic, over Q b(1) = 1.  In
+both b(1) = den(T = 0) is nonzero (a p-adic unit over Q), so these are the
+rational elements of the power-series ring.  The pseudo-rationality
+operators act on exponents of x: D = (1+T) d/dT is x d/dx, U = D**(p-1)
+in characteristic p is the Cartier projection (see _cartier_x), and the
+involution T -> (1+T)**(-1) - 1 is x -> 1/x.  mu of Gamma_delta(F) is
+read off the content of exact truncations (see mu_gamma_formula).
 
-The polynomial arithmetic and the x <-> T basis change `taylor_shift` are
-`ring`'s dense-polynomial helpers, run here over `_Fp(p)` or `_QQ`.
+T appears only at the edges: `rat_fp` and `rat_zp` take coefficients in
+T, the `num` and `den` properties read them back in T, and the
+criterion's witness is reported in T.  The shift x <-> T keeps the
+leading coefficient and is unimodular over Z, so monic, den(0) != 0 and
+p-integrality mean the same in either basis.  The polynomial arithmetic
+and the shift `taylor_shift` are `ring`'s dense-polynomial helpers, run
+here over `_Fp(p)` or `_QQ`.
 """
 
 from __future__ import annotations
@@ -55,126 +61,96 @@ def _spread(a, p: int) -> list[int]:
 
 
 @dataclass(frozen=True)
-class RatFuncFp:
-    """Reduced num/den over F_p, den monic with den(0) != 0."""
+class _RatFunc:
+    """Reduced num_x/den_x in x = 1+T; `num` and `den` read them in T."""
 
     p: int
-    num: tuple[int, ...]
-    den: tuple[int, ...]
+    num_x: tuple
+    den_x: tuple
+
+    @property
+    def num(self) -> tuple:
+        return tuple(taylor_shift(self.num_x, 1, self.field.p))
+
+    @property
+    def den(self) -> tuple:
+        return tuple(taylor_shift(self.den_x, 1, self.field.p))
+
+
+class RatFuncFp(_RatFunc):
+    """Reduced over F_p, den monic with den(0) != 0."""
 
     @property
     def field(self) -> _Fp:
         return _Fp(self.p)
 
 
-@dataclass(frozen=True)
-class RatFuncZp:
-    """Reduced num/den over Q with p-integral coefficients, den(0) a p-adic unit."""
-
-    p: int
-    num: tuple[Fraction, ...]
-    den: tuple[Fraction, ...]
+class RatFuncZp(_RatFunc):
+    """Reduced over Q with p-integral coefficients, den(0) = 1."""
 
     @property
     def field(self) -> _QQ:
         return _QQ()
 
 
-def _vp_fraction(x: Fraction, p: int) -> int:
-    if x == 0:
-        raise ValueError("valuation of 0")
-    v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+def _normal(F, p: int, a, b):
+    """The reduced a/b, a and b in x = 1+T over F = `_Fp(p)` or `_QQ`.
+
+    Over F_p the denominator is made monic.  Over Q it is divided by
+    b(1) = den(0), a p-adic unit anyway, which keeps every coefficient
+    p-integral where a monic scaling would not (e.g. 1 + pT)."""
+    a, b = _trim(a, F.p), _trim(b, F.p)
+    if not b:
+        raise ZeroDivisionError("zero denominator")
+    g = _pgcd_monic(F, a, b)
+    if len(g) > 1:
+        a, b = _pdivmod(F, a, g)[0], _pdivmod(F, b, g)[0]
+    b1 = sum(b)
+    if F.p:
+        if b1 % p == 0:
+            raise NotInPowerSeriesRingError("denominator vanishes at T = 0")
+        lead = F.inv(b[-1])
+        return RatFuncFp(p, tuple(_pscale(F, a, lead)), tuple(_pscale(F, b, lead)))
+    if b1.numerator % p == 0 or b1.denominator % p == 0:
+        raise NotInPowerSeriesRingError("denominator is not a unit at T = 0")
+    inv = F.inv(b1)
+    a, b = _pscale(F, a, inv), _pscale(F, b, inv)
+    if any(c.denominator % p == 0 for c in a + b):
+        c = next(c for c in taylor_shift(a, 1, None) + taylor_shift(b, 1, None)
+                 if c.denominator % p == 0)
+        raise ValueError(f"coefficient {c} is not p-integral at p={p}")
+    return RatFuncZp(p, tuple(a), tuple(b))
 
 
 def rat_fp(num, den, p: int) -> RatFuncFp:
-    """Canonical form over F_p: gcd removed, den monic; den(0) must be nonzero."""
+    """Canonical form over F_p of num/den, given in T: reduced, den monic;
+    den(0) must be nonzero."""
     if not is_odd_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
-    F = _Fp(p)
-    num = _trim(num, p)
-    den = _trim(den, p)
-    if not den:
-        raise ZeroDivisionError("zero denominator")
-    g = _pgcd_monic(F, num, den)
-    if len(g) > 1:
-        num = _pdivmod(F, num, g)[0]
-        den = _pdivmod(F, den, g)[0]
-    lead = F.inv(den[-1])
-    num = _pscale(F, num, lead)
-    den = _pscale(F, den, lead)
-    if not den or den[0] == 0:
-        raise NotInPowerSeriesRingError("denominator vanishes at T = 0")
-    return RatFuncFp(p, tuple(num), tuple(den))
+    return _normal(_Fp(p), p, taylor_shift(num, -1, p), taylor_shift(den, -1, p))
 
 
 def rat_zp(num, den, p: int) -> RatFuncZp:
-    """Canonical form over Q: reduced, den(0) = 1, coefficients p-integral.
-
-    The denominator is normalized by its constant term rather than its
-    leading coefficient: den(0) must be a p-adic unit anyway, and dividing
-    by it keeps every coefficient p-integral, which a monic scaling would
-    not (e.g. 1 + pT)."""
+    """Canonical form over Q of num/den, given in T: reduced, den(0) = 1,
+    coefficients p-integral; den(0) must be a p-adic unit."""
     if not is_odd_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
-    F = _QQ()
-    num = _trim([Fraction(x) for x in num])
-    den = _trim([Fraction(x) for x in den])
-    if not den:
-        raise ZeroDivisionError("zero denominator")
-    g = _pgcd_monic(F, num, den)
-    if len(g) > 1:
-        num = _pdivmod(F, num, g)[0]
-        den = _pdivmod(F, den, g)[0]
-    if not den or den[0] == 0 or _vp_fraction(den[0], p) != 0:
-        raise NotInPowerSeriesRingError("denominator is not a unit at T = 0")
-    lead = F.inv(den[0])
-    num = _pscale(F, num, lead)
-    den = _pscale(F, den, lead)
-    for c in num + den:
-        if c != 0 and _vp_fraction(c, p) < 0:
-            raise ValueError(f"coefficient {c} is not p-integral at p={p}")
-    return RatFuncZp(p, tuple(num), tuple(den))
-
-
-def _remake(f, num, den):
-    if isinstance(f, RatFuncFp):
-        return rat_fp(num, den, f.p)
-    return rat_zp(num, den, f.p)
-
-
-def rat_add(f, g):
-    F = f.field
-    num = _padd(F, _pmul(F, list(f.num), list(g.den)), _pmul(F, list(g.num), list(f.den)))
-    den = _pmul(F, list(f.den), list(g.den))
-    return _remake(f, num, den)
-
-
-def rat_scale(f, c):
-    F = f.field
-    return _remake(f, _pscale(F, list(f.num), c), list(f.den))
+    num = taylor_shift([Fraction(x) for x in num], -1, None)
+    den = taylor_shift([Fraction(x) for x in den], -1, None)
+    return _normal(_QQ(), p, num, den)
 
 
 def rat_is_zero(f) -> bool:
-    return not f.num
+    return not f.num_x
 
 
 def d_rat(f):
-    """D(F) = (1+T) F'(T), reduced."""
+    """D(F) = x F'(x) = x (a'b - ab') / b**2, reduced; x a' multiplies a_i by i."""
     F = f.field
-    num, den = list(f.num), list(f.den)
-    dn = [i * c for i, c in enumerate(num)][1:]
-    dd = [i * c for i, c in enumerate(den)][1:]
-    top = _pmul(F, [1, 1], _psub(F, _pmul(F, dn, den), _pmul(F, num, dd)))
-    bot = _pmul(F, den, den)
-    return _remake(f, top, bot)
+    a, b = f.num_x, f.den_x
+    da = [i * c for i, c in enumerate(a)]
+    db = [i * c for i, c in enumerate(b)]
+    return _normal(F, f.p, _psub(F, _pmul(F, da, b), _pmul(F, a, db)), _pmul(F, b, b))
 
 
 def _cartier_x(a, b, p: int) -> tuple[list[int], list[int]]:
@@ -211,54 +187,41 @@ def _cartier_x(a, b, p: int) -> tuple[list[int], list[int]]:
 
 
 def u_rat(f: RatFuncFp) -> RatFuncFp:
-    """U = D**(p-1) in characteristic p: the Cartier projection `_cartier_x`,
-    taken in x = 1+T and brought back to T."""
+    """U = D**(p-1) in characteristic p: the Cartier projection `_cartier_x`."""
     if not isinstance(f, RatFuncFp):
         raise TypeError("U as D**(p-1) is a characteristic-p identity")
-    p = f.p
-    num, den = _cartier_x(taylor_shift(f.num, -1, p), taylor_shift(f.den, -1, p), p)
-    return RatFuncFp(p, tuple(taylor_shift(num, 1, p)), tuple(taylor_shift(den, 1, p)))
+    num, den = _cartier_x(f.num_x, f.den_x, f.p)
+    return RatFuncFp(f.p, tuple(num), tuple(den))
+
+
+def _inverted(f):
+    """(e, rev(a), rev(b)) with F(1/x) = x**e rev(a) / rev(b), e = deg b - deg a."""
+    a, b = f.num_x, f.den_x
+    return len(b) - len(a), _trim(list(a[::-1])), _trim(list(b[::-1]))
 
 
 def compose_inv(f):
-    """F(iota(T)) with iota(T) = (1+T)**(-1) - 1 = -T/(1+T); iota is an involution.
-
-    Substitution is done fraction-free: a degree-k polynomial P gives
-    P(-T/(1+T)) * (1+T)**k exactly.
-    """
-    F = f.field
-    deg = max(len(f.num), len(f.den)) - 1
-    it_num = [0, -1]  # -T
-    it_den = [1, 1]   # 1+T
-
-    def subst(poly):
-        acc = []
-        power_num = [1]
-        for c in poly:
-            if c != 0:
-                tail = power_num
-                for _ in range(deg - (len(power_num) - 1)):
-                    tail = _pmul(F, tail, it_den)
-                acc = _padd(F, acc, _pscale(F, tail, c))
-            power_num = _pmul(F, power_num, it_num)
-        return acc
-
-    return _remake(f, subst(list(f.num)), subst(list(f.den)))
+    """F(iota(T)) with iota(T) = (1+T)**(-1) - 1; iota is x -> 1/x, an involution."""
+    e, rev_a, rev_b = _inverted(f)
+    return _normal(f.field, f.p, [0] * max(e, 0) + rev_a, [0] * max(-e, 0) + rev_b)
 
 
 def to_ring_elem(f: RatFuncZp, n: int, m: int) -> RingElem:
     """Exact image of a rational Lambda-element in R(n, m).
 
     The denominator has unit constant term, so it is invertible in the
-    quotient and the image of the fraction is num * den**(-1)."""
-    pn = f.p**n
+    quotient and the image of the fraction is num * den**(-1); the x
+    coefficients of each are its binomial view.  A polynomial of more than
+    p**m coefficients is refused: its image would need a reduction."""
+    p, q, pn = f.p, f.p**m, f.p**n
 
-    def lift(c: Fraction) -> int:
-        return c.numerator * pow(c.denominator, -1, pn) % pn
+    def image(poly) -> RingElem:
+        if len(poly) > q:
+            raise ValueError(f"{len(poly)} coefficients exceeds p**m = {q}")
+        lifted = [c.numerator * pow(c.denominator, -1, pn) % pn for c in poly]
+        return RingElem.from_binomial(p, n, m, lifted + [0] * (q - len(poly)))
 
-    num = RingElem(f.p, n, m, [lift(c) for c in f.num])
-    den = RingElem(f.p, n, m, [lift(c) for c in f.den])
-    return num * invert_unit(den)
+    return image(f.num_x) * invert_unit(image(f.den_x))
 
 
 @dataclass(frozen=True)
@@ -283,32 +246,29 @@ def _x_power_verdict(den_x, p: int) -> CriterionVerdict:
 
 
 def sym_combination(f, delta: int):
-    """F + (-1)**delta F(iota), the symmetrized form the criteria test."""
+    """H = F + (-1)**delta F(iota), the symmetrized form the criteria test.
+
+    With F(iota) = x**e rev(a) / rev(b), H is built over the one denominator
+    x**max(-e, 0) b rev(b) and reduced by one gcd of degree about 2 deg b."""
+    F = f.field
+    e, rev_a, rev_b = _inverted(f)
     sign = -1 if delta % 2 else 1
-    return rat_add(f, rat_scale(compose_inv(f), sign))
+    a, b = f.num_x, f.den_x
+    num = _padd(F, [0] * max(-e, 0) + _pmul(F, a, rev_b),
+                [0] * max(e, 0) + _pscale(F, _pmul(F, rev_a, b), sign))
+    return _normal(F, f.p, num, [0] * max(-e, 0) + _pmul(F, b, rev_b))
 
 
 def sym_poly_criterion(f: RatFuncFp, delta: int) -> CriterionVerdict:
     """Pseudo-rationality criterion for rational F.
 
     Asks whether some (1+T)**n * U(H), H = F + (-1)**delta F(iota), is a
-    polynomial, all in x = 1+T: iota is x -> 1/x, so F(iota) = a(1/x)/b(1/x)
-    is x**(deg b - deg a) rev(a) / rev(b); H is reduced by one gcd of degree
-    about 2 deg b, U(H) is reduced against the factors of H's denominator
+    polynomial: U(H) is reduced against the factors of H's denominator
     (`_cartier_x`), and (1+T)**n is a power of x.  On failure the rest of
     the denominator, monic in T, is the witness.
     """
-    p, F = f.p, f.field
-    a, b = taylor_shift(f.num, -1, p), taylor_shift(f.den, -1, p)
-    e = len(b) - len(a)
-    sign = -1 if delta % 2 else 1
-    rev_a, rev_b = _trim(a[::-1]), _trim(b[::-1])
-    num = _padd(F, [0] * max(-e, 0) + _pmul(F, a, rev_b),
-                [0] * max(e, 0) + _pscale(F, _pmul(F, rev_a, b), sign))
-    den = [0] * max(-e, 0) + _pmul(F, b, rev_b)
-    g = _pgcd_monic(F, num, den)
-    num, den = _pdivmod(F, num, g)[0], _pdivmod(F, den, g)[0]
-    return _x_power_verdict(_cartier_x(num, den, p)[1], p)
+    h = sym_combination(f, delta)
+    return _x_power_verdict(_cartier_x(h.num_x, h.den_x, f.p)[1], f.p)
 
 
 @dataclass(frozen=True)

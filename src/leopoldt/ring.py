@@ -319,13 +319,20 @@ def _pdiv_exact(a, b) -> list[int]:
     return _trim(q)
 
 
-def taylor_shift(coeffs, s: int, mod: int) -> list[int]:
-    """Coefficients of P(y + s) mod `mod`, trimmed, given those of P(y).
+def taylor_shift(coeffs, s: int, mod: int | None) -> list:
+    """Coefficients of P(y + s) mod `mod` (exactly when mod is None),
+    trimmed, given those of P(y).
 
     This is the basis change between x = 1+T and T: s = 1 rewrites a
     polynomial in x (a binomial view) as one in T, s = -1 goes back.  Both
     are exact identities of polynomials, so a view of degree < p**m keeps
     its degree.  Repeated synthetic division, O(deg**2)."""
+    if mod is None:
+        a = _trim(list(coeffs))
+        for i in range(len(a) - 1):
+            for j in range(len(a) - 2, i - 1, -1):
+                a[j] += s * a[j + 1]
+        return a
     a = _trim([c % mod for c in coeffs])
     s %= mod
     for i in range(len(a) - 1):
@@ -335,18 +342,15 @@ def taylor_shift(coeffs, s: int, mod: int) -> list[int]:
 
 
 def _cyclic_convolve(a, b, p: int, n: int):
-    """Convolution of binomial views modulo (x**Q - 1, p**n)."""
+    """Convolution of binomial views modulo x**Q - 1, left for the caller to
+    reduce mod p**n: one np.convolve, in int64 while Q (p**n - 1)**2 < 2**62
+    and on exact object arrays past it."""
     q = len(a)
-    pn = p**n
-    if q * (pn - 1) ** 2 < 2**62:  # never for a tuple view: pn >= 2**31
-        conv = np.convolve(a, b)
-        out = conv[:q].copy()
-        out[: q - 1] += conv[q:]
-        return out
-    a, b = _array(a, exact=True), _array(b, exact=True)
-    out = np.zeros(q, dtype=object)
-    for i in np.flatnonzero(a):
-        out += a[i] * np.roll(b, i) % pn
+    if q * (p**n - 1) ** 2 >= 2**62:  # always for a tuple view: p**n >= 2**31
+        a, b = _array(a, exact=True), _array(b, exact=True)
+    conv = np.convolve(a, b)
+    out = conv[:q].copy()
+    out[: q - 1] += conv[q:]
     return out
 
 

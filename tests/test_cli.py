@@ -1,10 +1,16 @@
+import contextlib
 import csv
 import io
 import json
+import os
+import tempfile
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from leopoldt import cli
 from leopoldt.cli import main
 
 
@@ -83,6 +89,85 @@ def test_malformed_character_file(tmp_path, capsys):
     code = main(["invariants", "--p", "5", "--character-file", str(chi),
                  "--delta", "0"])
     assert code == 1
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2], "text", {"p": 5, "d": 4, "values": [1, 3]},
+    {"p": 5, "d": 4, "values": {"1": None}}, {"p": 5, "d": None, "values": {"1": 0}},
+    {"p": 5, "d": 4, "values": {"1": 0, "3": 2.5}}])
+def test_malformed_character_document_is_a_clean_error(tmp_path, capsys, doc):
+    # each ended in a traceback, and "3": 2.5 was read as 2
+    chi = tmp_path / "bad.json"
+    chi.write_text(json.dumps(doc))
+    code = main(["pseudo-rational-check", "--p", "5", "--character-file", str(chi),
+                 "--delta", "0"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+def test_character_file_admits_integer_strings(tmp_path, capsys):
+    chi = tmp_path / "chi4.json"
+    chi.write_text(json.dumps({"p": "5", "d": "4", "values": {"1": "0", "3": 2}}))
+    code, out = run(capsys, "pseudo-rational-check", "--p", "5",
+                    "--character-file", str(chi), "--delta", "0")
+    assert code == 0 and json.loads(out)["results"]["not_pseudorational"] is True
+
+
+def _not_an_int_literal(s):
+    try:
+        int(s)
+    except ValueError:
+        return True
+    return False
+
+
+_NOT_INT = st.one_of(
+    st.none(), st.booleans(), st.floats(),
+    st.text(max_size=4).filter(_not_an_int_literal),
+    st.lists(st.integers(), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+
+@st.composite
+def malformed_character_documents(draw):
+    doc = {"p": 5, "d": 4, "values": {"1": 0, "3": 2}}
+    where = draw(st.sampled_from(["top", "p", "d", "values", "value"]))
+    if where == "top":
+        return draw(st.one_of(_NOT_INT, st.integers()))
+    if where == "value":
+        doc["values"][draw(st.sampled_from(["1", "3"]))] = draw(_NOT_INT)
+    elif where == "values":
+        doc["values"] = draw(st.one_of(_NOT_INT, st.integers()).filter(
+            lambda v: not isinstance(v, dict)))
+    else:
+        doc[where] = draw(_NOT_INT)
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(malformed_character_documents())
+def test_malformed_character_documents_exit_1(doc):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "chi.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["pseudo-rational-check", "--p", "5", "--character-file", path,
+                         "--delta", "0"])
+    assert code == 1 and out.getvalue() == ""
+    assert err.getvalue().startswith("error: ")
+
+
+@pytest.mark.parametrize("p, cases", [(7, 2), (11, 1)])
+def test_selftest_applies_each_gamma_once(p, cases):
+    # gamma_d(f) is computed once per d, not once per pair (d, e): per case
+    # 3(p-1) + (p-1)(p-1) + (p-1) + 2(p-1) + 2(p-1) calls
+    with mock.patch.object(cli, "op_isotypic", wraps=cli.op_isotypic) as spy:
+        results = cli._selftest_identities(p, 7, 2, 1, cases)
+    assert all(ok for _, ok in results)
+    assert spy.call_count == cases * (p - 1) * (p + 7)
 
 
 def test_bad_prime_rejected(capsys):

