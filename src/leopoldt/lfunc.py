@@ -3,10 +3,13 @@
 The pipeline: build the generating rational series F_chi (or, for
 conductor one, the surrogate G_c = F_chi - c sigma_c F_chi, which lies in
 the power-series ring), push it through gamma_{-delta} and the Leopoldt
-transform, divide out the surrogate factor, and flip variables with
-sigma_{-1}.  No U is applied: Gamma_delta kills the non-unit exponents and
-gamma_{-delta} keeps units and non-units apart, so Gamma_delta gamma_{-delta}
-U = Gamma_delta gamma_{-delta}.  The result is the series f(T, theta) with
+transform with respect to kappa**(-1), and divide out the surrogate factor.
+No U is applied: Gamma_delta kills the non-unit exponents and gamma_{-delta}
+keeps units and non-units apart, so Gamma_delta gamma_{-delta} U =
+Gamma_delta gamma_{-delta}.  No sigma_{-1} is applied: kappa**(-1)
+generates 1 + pZ_p too, and omega(r) kappa**(-e) = omega(r) (kappa**(-1))**e,
+so Gamma_delta^(kappa**(-1)) = sigma_{-1} Gamma_delta^kappa.  The result is
+the series f(T, theta) with
 
     f(kappa**(-k) - 1, theta) = L_p(-k, theta),   kappa = 1 + p d,
 
@@ -34,12 +37,11 @@ from .padic import (
 from .ring import (
     InvariantReport,
     RingElem,
-    _solve_binomial_inverse,
+    _divide_binomial,
     evaluate,
     invariants,
     op_isotypic,
     op_leopoldt,
-    substitute_exp,
     taylor_shift,
 )
 from .ring import _Fp, _pdiv_exact
@@ -154,15 +156,16 @@ def iwasawa_series(theta: ThetaCharacter, n: int, m: int,
     """f(T, theta) as an exact element of R(n, m), kappa = 1 + p d.
 
     The source is built one omega-level higher, as the Leopoldt transform
-    consumes one; no U is applied (see the module docstring).  For d = 1
-    the surrogate factor is divided out with the least valid multiplier c
-    (or the one supplied), and sigma_{-1} turns f(1/(1+T) - 1) into f(T).
+    consumes one; Gamma_delta is taken with respect to kappa**(-1), and no
+    U or sigma_{-1} is applied (see the module docstring).  For d = 1 the
+    surrogate factor 1 - c omega(c)**delta (1+T)**e_c, with the least valid
+    multiplier c or the one supplied, is divided out along the orbits of
+    a -> a + e_c.  Every step after the source (see f_chi) is O(p**(m+1)).
     """
     p = theta.p
     chi = theta.chi
     d = chi.d
     delta = theta.delta
-    kappa = 1 + p * d
     require_precision(p, n)
     require_ring_size(p, m + 1)
     if d >= 2:
@@ -173,14 +176,15 @@ def iwasawa_series(theta: ThetaCharacter, n: int, m: int,
         elif pow(c, delta + 1, p) == 1:
             raise ValueError(f"multiplier c={c} has c**(delta+1) = 1 mod p")
         src = g_c_surrogate(p, c, n, m + 1)
-    h = op_leopoldt(op_isotypic(src, -delta), delta, kappa)
+    # mod p**(m+2), so that it is a generator of 1 + pZ_p at m = 0 as well
+    kappa_inv = pow(1 + p * d, -1, p ** (m + 2))
+    h = op_leopoldt(op_isotypic(src, -delta), delta, kappa_inv)
     if d == 1:
-        pn = p**n
-        beta = c * pow(teichmuller(c, p, n).value, delta, pn) % pn
-        # e_c = Log_p(c)/Log_p(kappa) mod p**m: c's column in op_leopoldt's table
-        e_c = int(np.flatnonzero(kappa_unit_table(p, m + 1, kappa)[c - 1] == c)[0])
-        h = h * _solve_binomial_inverse(p, n, m, beta, e_c)
-    return substitute_exp(h, -1)
+        beta = c * pow(teichmuller(c, p, n).value, delta, p**n)
+        # e_c = Log_p(c)/Log_p(kappa**(-1)) mod p**m: c's column in op_leopoldt's table
+        e_c = int(np.flatnonzero(kappa_unit_table(p, m + 1, kappa_inv)[c - 1] == c)[0])
+        h = _divide_binomial(h, beta, e_c)
+    return h
 
 
 # -- bounds and reports ------------------------------------------------------
@@ -277,14 +281,10 @@ def iwasawa_invariants(theta: ThetaCharacter, m_max: int = 4, n: int = 2,
     """
     p = theta.p
     kappa = 1 + p * theta.chi.d
-    f = None
-    rep = None
     m = 1
-    tried = []
     while True:
         f = iwasawa_series(theta, n, m)
         rep = invariants(f)
-        tried.append(m)
         if rep.certified:
             break
         m_next = max(m + 1, 2 * m)

@@ -5,7 +5,7 @@ the binomial basis of `ring`: over F_p b is monic, over Q b(1) = 1.  In
 both b(1) = den(T = 0) is nonzero (a p-adic unit over Q), so these are the
 rational elements of the power-series ring.  The pseudo-rationality
 operators act on exponents of x: D = (1+T) d/dT is x d/dx, U = D**(p-1)
-in characteristic p is the Cartier projection (see _cartier_x), and the
+in characteristic p is the Cartier projection (see u_rat), and the
 involution T -> (1+T)**(-1) - 1 is x -> 1/x.  mu of Gamma_delta(F) is
 read off the content of exact truncations (see mu_gamma_formula).
 
@@ -153,8 +153,8 @@ def d_rat(f):
     return _normal(F, f.p, _psub(F, _pmul(F, da, b), _pmul(F, a, db)), _pmul(F, b, b))
 
 
-def _cartier_x(a, b, p: int) -> tuple[list[int], list[int]]:
-    """U(a/b) for polynomials in x = 1+T over F_p: reduced, den monic.
+def u_rat(f: RatFuncFp) -> RatFuncFp:
+    """U = D**(p-1) in characteristic p: the Cartier projection, reduced.
 
     x = 1+T splits F_p(x) into the x**i F_p(x**p), i < p, and D = x d/dx
     multiplies the i-th summand by i, so U = D**(p-1) drops i = 0 and keeps
@@ -164,6 +164,9 @@ def _cartier_x(a, b, p: int) -> tuple[list[int], list[int]]:
     stripped from both until g no longer divides the denominator (that
     happens only once the factors C holds beyond b**p are all that is left).
     """
+    if not isinstance(f, RatFuncFp):
+        raise TypeError("U as D**(p-1) is a characteristic-p identity")
+    p, a, b = f.p, f.num_x, f.den_x
     if p * (len(b) - 1) > MAX_CARTIER_DEGREE:
         raise ValueError(f"U over F_{p} of a degree-{len(b) - 1} denominator exceeds "
                          f"the degree bound {MAX_CARTIER_DEGREE}")
@@ -173,7 +176,7 @@ def _cartier_x(a, b, p: int) -> tuple[list[int], list[int]]:
     for i in range(0, len(top), p):
         top[i] = 0
     if not _trim(top):
-        return [], [1]
+        return RatFuncFp(p, (), (1,))
     while True:
         g = _pgcd_monic(F, b, _pdivmod(F, top, b)[1])
         if len(g) < 2:
@@ -183,15 +186,7 @@ def _cartier_x(a, b, p: int) -> tuple[list[int], list[int]]:
             break
         top, den = _pdivmod(F, top, g)[0], den_g
     lead = F.inv(den[-1])
-    return _pscale(F, top, lead), _pscale(F, den, lead)
-
-
-def u_rat(f: RatFuncFp) -> RatFuncFp:
-    """U = D**(p-1) in characteristic p: the Cartier projection `_cartier_x`."""
-    if not isinstance(f, RatFuncFp):
-        raise TypeError("U as D**(p-1) is a characteristic-p identity")
-    num, den = _cartier_x(f.num_x, f.den_x, f.p)
-    return RatFuncFp(f.p, tuple(num), tuple(den))
+    return RatFuncFp(p, tuple(_pscale(F, top, lead)), tuple(_pscale(F, den, lead)))
 
 
 def _inverted(f):
@@ -264,11 +259,10 @@ def sym_poly_criterion(f: RatFuncFp, delta: int) -> CriterionVerdict:
 
     Asks whether some (1+T)**n * U(H), H = F + (-1)**delta F(iota), is a
     polynomial: U(H) is reduced against the factors of H's denominator
-    (`_cartier_x`), and (1+T)**n is a power of x.  On failure the rest of
-    the denominator, monic in T, is the witness.
+    (`u_rat`, which refuses F over Q), and (1+T)**n is a power of x.  On
+    failure the rest of the denominator, monic in T, is the witness.
     """
-    h = sym_combination(f, delta)
-    return _x_power_verdict(_cartier_x(h.num_x, h.den_x, f.p)[1], f.p)
+    return _x_power_verdict(u_rat(sym_combination(f, delta)).den_x, f.p)
 
 
 @dataclass(frozen=True)

@@ -19,11 +19,12 @@ Every operator of the calculus is an exponent map there, O(p**m):
 gamma_delta and Gamma_delta are twisted orbit sums, twist @ view[table]
 mod p**n over cached int64 tables of exponents (the mu_{p-1}-orbits of
 the nonzero exponents; the units omega(r) kappa**e), with one int64 guard
-and one exact fallback.  The monomial coefficients (the canonical
+and one exact fallback.  Division by 1 - beta (1+T)**e is one cumsum per
+orbit of a -> a + e.  The monomial coefficients (the canonical
 representative of degree < p**m, which carries the Weierstrass data) are
-computed exactly only for `coeffs` and the series report; invariant
-certification needs them mod p only, which Lucas's theorem gives in
-O(m p**(m+1)).
+computed exactly only for `coeffs` and the series report, in O(p**(2m));
+invariant certification needs them mod p only, which Lucas's theorem
+gives in O(m p**(m+1)).
 
 The dense-polynomial helpers here (`_pmul`, `_pdivmod`, ..., and the
 x <-> T shift `taylor_shift` behind `RingElem(coeffs)` and `coeffs`) also
@@ -378,32 +379,36 @@ def invert_unit(f: RingElem) -> RingElem:
     raise ArithmeticError("unit inversion did not converge")  # pragma: no cover
 
 
-def _solve_binomial_inverse(p: int, n: int, m: int, beta: int, e: int) -> RingElem:
-    """Inverse of 1 - beta*(1+T)**e in R(n, m), for 1 - beta a unit.
+def _divide_binomial(f: RingElem, beta: int, e: int) -> RingElem:
+    """f / (1 - beta*(1+T)**e) in R(n, m), for beta and 1 - beta units.
 
-    The linear system v_a - beta*v_{a-e} = [a == 0] decouples along the
-    orbits of a -> a + e on Z/p**m; the orbit through 0 closes with the
-    unit 1 - beta**L and every other orbit is zero.  O(p**m) time.
+    The quotient y solves y_a - beta*y_{a-e} = f_a, which decouples along
+    the orbits r, r+e, ..., r+(L-1)e of a -> a+e on Z/p**m.  With v_j the
+    orbit's entries and run_j = sum_{i<=j} beta**(L-i) v_i (one cumsum per
+    row), y_0 = v_0 + run_{L-1} / (1 - beta**L) and
+    y_j = beta**(j-L) (beta**L (y_0 - v_0) + run_j); 1 - beta**L = 1 - beta
+    mod p.  On an int64 view every run stays below L p**n < 2**63.  O(p**m).
     """
+    p, n, m = f.p, f.n, f.m
     q = p**m
     pn = p**n
     beta %= pn
-    if (1 - beta) % p == 0:
-        raise NotAUnitError("1 - beta is not a unit")
+    if beta % p == 0 or (1 - beta) % p == 0:
+        raise NotAUnitError(f"beta = {beta} or 1 - beta is not a unit")
     e %= q
-    if e == 0:
-        return RingElem(p, n, m, [pow(1 - beta, -1, pn)])
-    g = math.gcd(e, q)
-    length = q // g
-    v = [0] * q
-    v0 = pow(1 - pow(beta, length, pn), -1, pn)
-    a = 0
-    val = v0
+    length = q // math.gcd(e, q)
+    powers = [1]  # beta**0 .. beta**L
     for _ in range(length):
-        v[a] = val
-        a = (a + e) % q
-        val = (val * beta) % pn
-    return RingElem.from_binomial(p, n, m, v)
+        powers.append(powers[-1] * beta % pn)
+    b = _array(f._bin)
+    pw = np.array(powers, dtype=b.dtype)
+    orbits = (np.arange(q // length)[:, None] + e * np.arange(length)) % q
+    run = (b[orbits] * pw[:0:-1] % pn).cumsum(axis=1) % pn
+    close = run[:, -1:] * pow(1 - powers[-1], -1, pn) % pn  # y_0 - v_0
+    y = (run * pow(powers[-1], -1, pn) + close) % pn * pw[:-1] % pn
+    out = np.empty(q, dtype=b.dtype)
+    out[orbits] = y
+    return RingElem._from_reduced(p, n, m, out)
 
 
 # -- exponent-space operators -------------------------------------------

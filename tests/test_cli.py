@@ -160,6 +160,69 @@ def test_malformed_character_documents_exit_1(doc):
     assert err.getvalue().startswith("error: ")
 
 
+_THETA_COMMANDS = ("invariants", "series", "interp-check", "pseudo-rational-check")
+
+
+@st.composite
+def small_cli_calls(draw):
+    """(argv, character file or None): small random arguments for every
+    command, valid or not, with n <= 4, m <= 3 and --cases <= 2."""
+    command = draw(st.sampled_from(["bounds", "invariants", "series", "interp-check",
+                                    "lambda-sum", "pseudo-rational-check", "selftest"]))
+    p = draw(st.sampled_from([1, 2, 3, 4, 5, 7, 9, 11]))
+    argv = [command, "--p", str(p)]
+
+    def flag(name, values, optional=False):
+        if not optional or draw(st.booleans()):
+            argv.extend([name, str(draw(values))])
+
+    doc = None
+    if command == "bounds":
+        flag("--d", st.integers(-2, 40))
+    if command in _THETA_COMMANDS:
+        flag("--theta-omega", st.integers(-2, 12), optional=True)
+        flag("--delta", st.integers(-2, 12), optional=True)
+        if draw(st.booleans()):  # a valid quadratic character of conductor 3 or 4
+            d = draw(st.sampled_from([3, 4]))
+            doc = {"p": p, "d": d, "values": {"1": 0, str(d - 1): (p - 1) // 2}}
+    if command != "bounds" and command != "pseudo-rational-check":
+        flag("--n", st.integers(-1, 4))
+    if command in ("invariants", "lambda-sum"):
+        flag("--m-max", st.integers(-1, 3))
+    if command == "invariants":
+        flag("--check-precision", st.integers(-1, 4), optional=True)
+    if command in ("series", "selftest"):
+        flag("--m", st.integers(-1, 3))
+    if command == "interp-check" and draw(st.booleans()):
+        ks = draw(st.lists(st.integers(-3, 30), min_size=1, max_size=3))
+        argv.append("--ks=" + ",".join(map(str, ks)))
+    if command == "selftest":
+        flag("--seed", st.integers(0, 9))
+        flag("--cases", st.integers(0, 2))
+    flag("--format", st.sampled_from(["json", "csv"]), optional=True)
+    return argv, doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_cli_calls())
+def test_random_small_calls_exit_cleanly(call):
+    # every command answers 0, 1 or 2, raises nothing, and writes to stderr
+    # only a one-line refusal with exit 1
+    argv, doc = call
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        if doc is not None:
+            path = os.path.join(tmp, "chi.json")
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            argv = argv + ["--character-file", path]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    assert err.getvalue() == "" or (code == 1 and err.getvalue().startswith("error: ")
+                                    and err.getvalue().count("\n") == 1)
+
+
 @pytest.mark.parametrize("p, cases", [(7, 2), (11, 1)])
 def test_selftest_applies_each_gamma_once(p, cases):
     # gamma_d(f) is computed once per d, not once per pair (d, e): per case

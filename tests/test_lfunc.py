@@ -26,7 +26,6 @@ from leopoldt.lfunc import (
 from leopoldt.padic import is_odd_prime, kappa_exponent_table, teichmuller
 from leopoldt.ring import (
     RingElem,
-    _solve_binomial_inverse,
     invariants,
     invert_unit,
     op_isotypic,
@@ -384,29 +383,35 @@ def test_f_chi_matches_rational_construction():
     assert count > 500
 
 
-# -- the pipeline without U -------------------------------------------------
+# -- the pipeline without U or sigma_{-1} -------------------------------------
 #
 # Gamma_delta kills the non-unit exponents, and gamma_{-delta} maps units to
 # units and non-units to non-units, so Gamma_delta gamma_{-delta} U equals
-# Gamma_delta gamma_{-delta}: iwasawa_series applies no U.  The route with U
-# is kept here as the reference.
+# Gamma_delta gamma_{-delta}: iwasawa_series applies no U.  kappa**(-1)
+# generates 1 + pZ_p as well, and sigma_{-1} Gamma_delta^kappa equals
+# Gamma_delta^(kappa**(-1)): iwasawa_series applies no sigma_{-1}.  The
+# route with U, kappa, a Newton inverse of the surrogate factor and
+# sigma_{-1} is kept here as the reference.
 
 
-def series_with_unit_part(theta, n, m):
-    """source -> U -> gamma_{-delta} -> Gamma_delta -> surrogate division -> sigma_{-1}."""
+def series_with_unit_part(theta, n, m, c=None):
+    """source -> U -> gamma_{-delta} -> Gamma_delta^kappa -> * Newton inverse
+    of 1 - beta (1+T)**e_c -> sigma_{-1}."""
     p, d, delta = theta.p, theta.chi.d, theta.delta
     kappa = 1 + p * d
     if d >= 2:
         src = f_chi(theta.chi, n, m + 1)
     else:
-        c = valid_multipliers(p, delta)[0]
+        c = valid_multipliers(p, delta)[0] if c is None else c
         src = g_c_surrogate(p, c, n, m + 1)
     h = op_leopoldt(op_isotypic(op_unit_part(src), -delta), delta, kappa)
     if d == 1:
         pn = p**n
         beta = c * pow(teichmuller(c, p, n).value, delta, pn) % pn
-        e_c = int(kappa_exponent_table(p, m + 1, kappa)[c])
-        h = h * _solve_binomial_inverse(p, n, m, beta, e_c)
+        factor = [0] * p**m
+        factor[0] = 1
+        factor[int(kappa_exponent_table(p, m + 1, kappa)[c])] -= beta
+        h = h * invert_unit(RingElem.from_binomial(p, n, m, factor))
     return substitute_exp(h, -1)
 
 
@@ -415,12 +420,19 @@ ORACLE_CONDUCTORS = ((7, 3), (7, 4), (7, 8), (11, 3), (13, 4))
 
 
 def test_series_without_unit_part_matches_route_with_it():
-    cases = [(theta, 2, 1) for p in range(3, 60) if is_odd_prime(p)
+    cases = [(theta, 2, 1, None) for p in range(3, 60) if is_odd_prime(p)
              for theta in enumerate_even_theta(p, 1)]
     assert len(cases) == sum((p - 3) // 2 for p in range(3, 60) if is_odd_prime(p))
-    oracle = [(theta, 3, 2) for p, d in ORACLE_CONDUCTORS
+    # deeper levels, and every valid multiplier c
+    cases += [(theta, n, m, None) for theta in enumerate_even_theta(5, 1)
+              for n, m in ((2, 2), (3, 3), (2, 4))]
+    cases += [(theta, 3, 2, c) for p in (5, 7, 11) for theta in enumerate_even_theta(p, 1)
+              for c in valid_multipliers(p, theta.delta)]
+    # a tuple view: 7**12 > 2**31
+    cases += [(theta, 12, 2, None) for theta in enumerate_even_theta(7, 1)]
+    oracle = [(theta, 3, 2, None) for p, d in ORACLE_CONDUCTORS
               for theta in enumerate_even_theta(p, d) if theta.chi.d >= 2]
     assert len(oracle) > 20
-    for theta, n, m in cases + oracle:
-        assert (iwasawa_series(theta, n, m).binomial
-                == series_with_unit_part(theta, n, m).binomial), (theta, n, m)
+    for theta, n, m, c in cases + oracle:
+        assert (iwasawa_series(theta, n, m, c).binomial
+                == series_with_unit_part(theta, n, m, c).binomial), (theta, n, m, c)

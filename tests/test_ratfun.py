@@ -278,6 +278,17 @@ def test_criterion_failure_reports_witness():
     assert v.witness is not None and len(v.witness) > 1
 
 
+def test_criterion_refuses_rational_coefficients():
+    # U = D**(p-1) holds in characteristic p only: a RatFuncZp is refused
+    # like u_rat refuses it, not by a TypeError from deep in the F_p kernel
+    f = rat_zp([1, 2], [1, 1, 1], 5)
+    for delta in (0, 1):
+        with pytest.raises(TypeError, match="characteristic-p identity"):
+            sym_poly_criterion(f, delta)
+    with pytest.raises(TypeError, match="characteristic-p identity"):
+        u_rat(f)
+
+
 def test_one_plus_t_denominator_detection():
     f = rat_fp([1, 3], [1, 2, 1], 5)  # denominator (1+T)^2
     v = is_one_plus_t_denominator(f)

@@ -17,7 +17,7 @@ from leopoldt.ring import (
     _pmul,
     _psub,
     _QQ,
-    _solve_binomial_inverse,
+    _divide_binomial,
     decompose_t_power,
     evaluate,
     exponent_moment,
@@ -135,19 +135,40 @@ def test_invert_unit():
     assert s * invert_unit(s) == ring_one(P, N, M)
 
 
-def test_solve_binomial_inverse_matches_newton(rng):
-    pn = P**N
-    for _ in range(20):
-        beta = rng.randrange(pn)
-        if (1 - beta) % P == 0:
-            continue
-        e = rng.randrange(P**M)
-        fast = _solve_binomial_inverse(P, N, M, beta, e)
-        b = [0] * P**M
-        b[0] = 1
-        b[e] = (b[e] - beta) % pn
-        slow = invert_unit(RingElem.from_binomial(P, N, M, b))
-        assert fast == slow
+@st.composite
+def _binomial_divisions(draw):
+    """(f, beta, e) for f / (1 - beta (1+T)**e): e = 0, p | e, e = Q - 1 and
+    any e, on int64 views up to p**n near 2**31 and on tuple views."""
+    p, n, m = draw(st.sampled_from(
+        [(5, 2, 2), (3, 4, 3), (7, 3, 1), (5, 3, 0), (7, 11, 2), (3, 25, 2)]))
+    q, pn = p**m, p**n
+    e = draw(st.one_of(st.just(0), st.just(q - 1), st.integers(-q, q).map(lambda k: k * p),
+                       st.integers(-q, 2 * q)))
+    beta = draw(st.integers(0, pn - 1).filter(lambda b: b % p not in (0, 1)))
+    view = draw(st.lists(st.one_of(st.just(pn - 1), st.integers(0, pn - 1)),
+                         min_size=q, max_size=q))
+    return RingElem.from_binomial(p, n, m, view), beta, e
+
+
+@settings(max_examples=80, deadline=None)
+@given(_binomial_divisions())
+@example((RingElem.from_binomial(7, 11, 2, [7**11 - 1] * 49), 7**11 - 2, 1))
+def test_divide_binomial_matches_newton(case):
+    # the explicit example sums 49 products near 7**22 > 2**61 along one orbit
+    f, beta, e = case
+    p, n, m = f.p, f.n, f.m
+    b = [0] * p**m
+    b[0] = 1
+    b[e % p**m] -= beta
+    divisor = RingElem.from_binomial(p, n, m, b)
+    assert _divide_binomial(f, beta, e) == f * invert_unit(divisor)
+
+
+def test_divide_binomial_refuses_non_units():
+    f = RingElem(P, N, M, [1, 2, 3])
+    for beta in (0, P, 1, 1 + P):  # beta or 1 - beta divisible by p
+        with pytest.raises(NotAUnitError):
+            _divide_binomial(f, beta, 1)
 
 
 def test_substitute_exp():
