@@ -48,23 +48,8 @@ class DirichletCharacter:
     d: int
     residues: tuple[int, ...]
 
-    @property
-    def order(self) -> int:
-        o = 1
-        for r in self.residues:
-            if r:
-                k, x = 1, r
-                while x != 1:
-                    x = x * r % self.p
-                    k += 1
-                o = o * k // gcd(o, k)
-        return o
-
     def is_odd(self) -> bool:
         return self.residues[-1 % self.d] == self.p - 1
-
-    def is_even(self) -> bool:
-        return not self.is_odd()
 
     def residue(self, a: int) -> int:
         """chi(a) mod p (0 when gcd(a, d) > 1)."""

@@ -243,6 +243,8 @@ def _sum_gammas(f: RingElem, deltas) -> RingElem:
 
 
 def cmd_selftest(args) -> int:
+    if args.cases < 1:  # no cases would hold every identity vacuously
+        raise ValueError(f"--cases must be at least 1, got {args.cases}")
     lfunc.require_ring_size(args.p, args.m)
     lfunc.require_precision(args.p, args.n)
     results = _selftest_identities(args.p, args.seed, args.n, args.m, args.cases)

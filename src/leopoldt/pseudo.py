@@ -76,9 +76,6 @@ class PseudoPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def exponents(self) -> tuple[PadicInt, ...]:
-        return tuple(PadicInt(self.p, self.M, a) for _, a in self.terms)
-
     def _same(self, other: "PseudoPoly") -> None:
         if (self.p, self.n, self.M) != (other.p, other.n, other.M):
             raise ValueError("pseudo-polynomials live in different contexts")

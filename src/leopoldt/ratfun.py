@@ -42,7 +42,7 @@ from .ring import (
 
 
 # U over F_p builds polynomials of degree p * deg(den) in x = 1+T, and
-# taking the criterion's witness back to T is quadratic in that degree.
+# reducing them (`_pdivmod`'s gcds) is quadratic in that degree.
 MAX_CARTIER_DEGREE = 4000
 
 

@@ -21,14 +21,13 @@ mod p**n over cached int64 tables of exponents (the mu_{p-1}-orbits of
 the nonzero exponents; the units omega(r) kappa**e), with one int64 guard
 and one exact fallback.  Division by 1 - beta (1+T)**e is one cumsum per
 orbit of a -> a + e.  The monomial coefficients (the canonical
-representative of degree < p**m, which carries the Weierstrass data) are
-computed exactly only for `coeffs` and the series report, in O(p**(2m));
-invariant certification needs them mod p only, which Lucas's theorem
-gives in O(m p**(m+1)).
+representative of degree < p**m, which carries the Weierstrass data) come
+from the one x <-> T basis change `taylor_shift`: mod p by Lucas's theorem
+in O(m p**(m+1)), which is all invariant certification needs, and mod p**n
+for `coeffs` and the series report in p**m numpy steps, O(p**(2m)) work.
 
-The dense-polynomial helpers here (`_pmul`, `_pdivmod`, ..., and the
-x <-> T shift `taylor_shift` behind `RingElem(coeffs)` and `coeffs`) also
-serve `ratfun` and `lfunc`.
+The dense-polynomial helpers here (`_pmul`, `_pdivmod`, ..., and
+`taylor_shift`) also serve `ratfun` and `lfunc`.
 
 Everything is pure and exact at the stated precision; where an operator
 genuinely loses precision (D, whose multiplier is only known mod p**m) the
@@ -61,9 +60,9 @@ class ContextMismatchError(ValueError):
 
 
 def _mod(x, pn: int):
-    """x % pn for an integer array: numpy divides int64 by a scalar on a
-    fast path that % lacks, and floor division keeps every sign right."""
-    return x - x // pn * pn
+    """x % pn for an integer array; on int64 as x - x // pn * pn, which numpy
+    runs on a fast path for division by a scalar that % lacks."""
+    return x % pn if x.dtype == object else x - x // pn * pn
 
 
 def _stored(b, pn: int, reduced: bool = False):
@@ -118,7 +117,7 @@ class RingElem:
             c = list(coeffs)
             if len(c) > q:
                 raise ValueError(f"{len(c)} coefficients exceeds p**m = {q}")
-            b = taylor_shift(c, -1, pn)
+            b = taylor_shift(c, -1, p, n)
             _binomial = b + [0] * (q - len(b))
         if len(_binomial) != q:
             raise ValueError("binomial view must have length p**m")
@@ -139,8 +138,9 @@ class RingElem:
 
     @property
     def coeffs(self) -> tuple[int, ...]:
-        """Monomial coefficients of the canonical representative, O(Q^2)."""
-        c = taylor_shift(_ints(self._bin), 1, self.p**self.n)
+        """Monomial coefficients of the canonical representative: Q numpy
+        steps of O(Q) each, or O(m p Q) by Lucas's theorem for n = 1."""
+        c = taylor_shift(_ints(self._bin), 1, self.p, self.n)
         return tuple(c + [0] * (self.p**self.m - len(c)))
 
     @property
@@ -320,26 +320,28 @@ def _pdiv_exact(a, b) -> list[int]:
     return _trim(q)
 
 
-def taylor_shift(coeffs, s: int, mod: int | None) -> list:
-    """Coefficients of P(y + s) mod `mod` (exactly when mod is None),
-    trimmed, given those of P(y).
-
-    This is the basis change between x = 1+T and T: s = 1 rewrites a
-    polynomial in x (a binomial view) as one in T, s = -1 goes back.  Both
-    are exact identities of polynomials, so a view of degree < p**m keeps
-    its degree.  Repeated synthetic division, O(deg**2)."""
-    if mod is None:
-        a = _trim(list(coeffs))
-        for i in range(len(a) - 1):
-            for j in range(len(a) - 2, i - 1, -1):
-                a[j] += s * a[j + 1]
+def taylor_shift(coeffs, s: int, p: int | None, n: int = 1) -> list:
+    """Coefficients of P(y + s) mod p**n (exactly when p is None), trimmed,
+    given those of P(y), for s = +-1: the x = 1+T <-> T basis change (s = 1
+    takes a binomial view to T, s = -1 goes back), which keeps the leading
+    coefficient and so the degree.  Over F_p this is `_lucas_shift`.  Mod
+    p**n (n >= 2) and over Q, step i replaces a[i:] by its reverse cumsum
+    (Pascal's rule), on int64 below 2**31 and exact objects otherwise:
+    O(deg**2) work in deg numpy steps.  s = -1 flips the odd signs before
+    and after there, as P(y - 1) is P(-y) shifted by 1, taken at -y."""
+    pn = p**n if p else None
+    a = _trim([c % pn for c in coeffs] if pn else list(coeffs))
+    if not a:
         return a
-    a = _trim([c % mod for c in coeffs])
-    s %= mod
+    a = np.array(a, dtype=np.int64 if pn and pn < _NP_COEFF_LIMIT else object)
+    if pn and n == 1:
+        return _lucas_shift(a, s, p).tolist()
+    a[1::2] *= s
     for i in range(len(a) - 1):
-        for j in range(len(a) - 2, i - 1, -1):
-            a[j] = (a[j] + s * a[j + 1]) % mod
-    return a
+        tail = a[i:][::-1].cumsum()[::-1]
+        a[i:] = _mod(tail, pn) if pn else tail
+    a[1::2] *= s
+    return (_mod(a, pn) if pn else a).tolist()
 
 
 def _cyclic_convolve(a, b, p: int, n: int):
@@ -557,30 +559,44 @@ class InvariantReport:
         return self.verdict == "certified"
 
 
-@lru_cache(maxsize=16)
-def _pascal_mod_p(p: int) -> np.ndarray:
-    """C(a, k) mod p at row a, column k, for digits a, k < p."""
-    out = np.zeros((p, p), dtype=np.int64)
+@lru_cache(maxsize=64)
+def _pascal_mod_p(p: int, w: int, s: int) -> np.ndarray:
+    """C(a, k) s**(a-k) mod p at row a, column k, for digits a, k < w <= p
+    and s = +-1; int64 while w (p-1)**2 < 2**63, else exact objects."""
+    out = np.zeros((w, w), dtype=np.int64 if w * (p - 1) ** 2 < 2**63 else object)
     out[:, 0] = 1
-    for a in range(1, p):
+    for a in range(1, w):
         out[a, 1:] = (out[a - 1, 1:] + out[a - 1, :-1]) % p
+    if s < 0:  # C(a, k) (-1)**(a-k): a checkerboard of signs
+        out = np.where(np.add.outer(np.arange(w), np.arange(w)) % 2, -out % p, out)
     out.flags.writeable = False
     return out
 
 
-def invariants(f: RingElem) -> InvariantReport:
-    """Certify from the monomial coefficients mod p, in O(m p**(m+1)).
+def _lucas_shift(c: np.ndarray, s: int, p: int) -> np.ndarray:
+    """P(y + s) mod p from the coefficients c of P(y), for s = +-1 and c
+    nonempty in [0, p).  By Lucas's theorem (y+s)**a = prod_i
+    (y**(p**i) + s)**a_i mod p over the base-p digits a_i of a, so the shift
+    applies `_pascal_mod_p` along each digit axis of c reshaped to (top, p,
+    ..., p), top cut to the digits that occur: a table min(p, len(c))
+    square and O(p len(c) log_p len(c)) work.  The degree does not grow."""
+    d, k = len(c), 0
+    while p ** (k + 1) < d:  # k digit axes of size p below the top one
+        k += 1
+    shape = (-(-d // p**k),) + (p,) * k
+    pad = shape[0] * p**k - d
+    c = (np.concatenate([c, np.zeros(pad, c.dtype)]) if pad else c).reshape(shape)
+    table = _pascal_mod_p(p, min(p, d), s)
+    for w in reversed(shape):  # contract the last digit axis, then rotate it to the front
+        c = (c @ table[:w, :w] % p).transpose(-1, *range(k))
+    return c.reshape(-1)[:d]
 
-    By Lucas's theorem (1+T)**a = prod_i (1+T**(p**i))**a_i mod p for the
-    base-p digits a_i of a < p**m, so the basis change mod p is the Pascal
-    matrix mod p applied along each digit axis of the view reshaped to
-    (p,)*m; the degree stays below p**m, so no reduction by omega_m is due.
-    """
-    p, m = f.p, f.m
-    c = (_array(f._bin) % p).astype(np.int64).reshape((p,) * m)
-    pascal = _pascal_mod_p(p)
-    for _ in range(m):  # contract the last digit axis, then rotate it to the front
-        c = np.moveaxis(c @ pascal % p, -1, 0)
+
+def invariants(f: RingElem) -> InvariantReport:
+    """Certify from the monomial coefficients mod p, `_lucas_shift` of the
+    view mod p, in O(m p**(m+1)); their degree stays below p**m, so no
+    reduction by omega_m is due."""
+    c = _lucas_shift((_array(f._bin) % f.p).astype(np.int64), 1, f.p)
     units = np.flatnonzero(c)
     if units.size:
         return InvariantReport(0, int(units[0]), "certified", (f.n, f.m))

@@ -51,14 +51,14 @@ def _outcome(thunk):
 
 def test_build_validate_quadratic_mod4():
     chi = build_validate(4, {1: 1, 3: 4}, 5)
-    assert chi.is_odd() and chi.order == 2
+    assert chi.is_odd() and set(chi.residues) == {0, 1, 4}  # order 2
     assert chi.residue(3) == 4 and chi.residue(2) == 0
     assert chi.value(3, 2).value == 24  # -1 mod 25
 
 
 def test_trivial_character():
     chi = build_validate(1, {}, 5)
-    assert chi.d == 1 and chi.residue(5) == 1 and chi.is_even()
+    assert chi.d == 1 and chi.residue(5) == 1 and not chi.is_odd()
 
 
 def test_rejects_imprimitive_with_witness():
@@ -153,7 +153,7 @@ def test_characters_mod_counts():
     assert len(chis) == 1 and chis[0].residue(2) == 6
     # mod 5 at p = 11: characters have order dividing gcd(4, 10) = 2
     chis = characters_mod(5, 11)
-    assert all(c.order == 2 for c in chis) and len(chis) == 1
+    assert len(chis) == 1 and set(chis[0].residues) == {0, 1, 10}
 
 
 def test_enumerate_even_theta():

@@ -67,6 +67,14 @@ def test_selftest_deterministic(capsys):
     assert all(c["ok"] for c in doc["checks"])
 
 
+@pytest.mark.parametrize("cases", ["0", "-3"])
+def test_selftest_refuses_no_cases(capsys, cases):
+    # with no cases every identity would hold vacuously
+    code = main(["selftest", "--p", "5", "--cases", cases])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == "" and err.startswith("error: ")
+
+
 def test_character_file_flow(tmp_path, capsys):
     chi = tmp_path / "chi4.json"
     chi.write_text(json.dumps({"p": 5, "d": 4, "values": {"1": 0, "3": 2}}))

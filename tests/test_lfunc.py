@@ -100,7 +100,7 @@ def test_f_chi_sigma_minus_one_symmetry():
     f = f_chi(chi4, 2, 2)
     assert substitute_exp(f, -1) == f
     chi5 = build_validate(5, {1: 1, 2: 10, 3: 10, 4: 1}, 11)  # even quadratic mod 5
-    assert chi5.is_even()
+    assert not chi5.is_odd()
     g = f_chi(chi5, 2, 1)
     assert substitute_exp(g, -1) == g.scale(-1)
 
@@ -190,6 +190,15 @@ def test_multiplier_independence():
     with pytest.raises(ValueError):
         iwasawa_series(theta, 2, 1, c=[c for c in range(2, 5)
                                        if pow(c, 2, 5) == 1][0])
+
+
+@pytest.mark.parametrize("p, d", [(3, 4), (5, 12), (7, 12), (11, 3), (13, 4)])
+def test_series_coeffs_mod_p_agree_across_basis_changes(p, d):
+    # read out at n = 2 by Pascal rows and at n = 1 by Lucas's theorem
+    for theta in enumerate_even_theta(p, d):
+        for m in range(4 if p == 3 else 3 if p < 11 else 2):
+            pascal = iwasawa_series(theta, 2, m).coeffs
+            assert tuple(c % p for c in pascal) == iwasawa_series(theta, 1, m).coeffs
 
 
 def test_interpolation_p5_omega2():

@@ -17,6 +17,7 @@ from leopoldt.ring import (
     _pmul,
     _psub,
     _QQ,
+    _trim,
     _divide_binomial,
     decompose_t_power,
     evaluate,
@@ -741,11 +742,52 @@ def test_taylor_shift_matches_pascal_rows(case):
     view = c + [0] * (q - len(c))
     mono = _binomial_to_coeffs(view, pn)
     back = _coeffs_to_binomial(c, q, pn)
-    assert tuple(taylor_shift(c, 1, pn) + [0] * q)[:q] == mono
-    assert (taylor_shift(c, -1, pn) + [0] * q)[:q] == back
+    assert tuple(taylor_shift(c, 1, p, n) + [0] * q)[:q] == mono
+    assert (taylor_shift(c, -1, p, n) + [0] * q)[:q] == back
     assert RingElem.from_binomial(p, n, m, view).coeffs == mono
     assert RingElem(p, n, m, c).binomial == tuple(back)
-    assert taylor_shift(taylor_shift(c, -1, pn), 1, pn) == taylor_shift(c, 0, pn)
+    assert taylor_shift(taylor_shift(c, -1, p, n), 1, p, n) == _trim(c, pn)
+
+
+def _synthetic_shift(coeffs, s, mod):
+    """P(y + s) by repeated synthetic division, O(deg**2) Python steps,
+    mod `mod` or exactly when it is None."""
+    a = _trim(list(coeffs), mod)
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] += s * a[j + 1]
+            if mod:
+                a[j] %= mod
+    return a
+
+
+@st.composite
+def _lucas_and_pascal_cases(draw):
+    p = draw(st.sampled_from([3, 5, 7, 101, 997]))
+    n = draw(st.sampled_from([1, 2, 3]))
+    c = draw(st.lists(st.integers(-p**(n + 1), p**(n + 1)), max_size=501))
+    return p, n, draw(st.sampled_from([1, -1])), c
+
+
+@settings(max_examples=60, deadline=None)
+@given(_lucas_and_pascal_cases())
+@example((101, 5, 1, list(range(-300, 200))))  # 101**5 > 2**31: object arrays
+@example((101, 5, -1, [101**5 - 1] * 120))
+@example((3, 1, -1, [1] * 300))  # 3**5 < 300: the top digit axis is cut to 2
+@example((997, 1, 1, [5, 0, 7]))
+@example((2**61 - 1, 1, -1, [3, 2**61, -5, 7]))  # a 4 x 4 table, on exact objects
+@example((2**31 - 1, 1, -1, [2**31 - 2] * 3))  # 3 (p-1)**2 is just past 2**63
+def test_taylor_shift_matches_synthetic_division(case):
+    # over F_p the shift runs Lucas's theorem digit by digit, mod p**n
+    # (n >= 2) Pascal rows; both must match the quadratic original
+    p, n, s, c = case
+    assert taylor_shift(c, s, p, n) == _synthetic_shift(c, s, p**n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.fractions(max_denominator=50), max_size=40), st.sampled_from([1, -1]))
+def test_taylor_shift_exact_matches_synthetic_division(c, s):
+    assert taylor_shift(c, s, None) == _synthetic_shift(c, s, None)
 
 
 class _FpByMethods:
