@@ -27,9 +27,11 @@ from math import isqrt
 import numpy as np
 
 from .padic import (
+    MAX_MODULUS_BITS,
     MAX_RING_SIZE,
     PadicInt,
     kappa_unit_table,
+    require_precision,
     teichmuller,
     teichmuller_table,
     teichmuller_twist,
@@ -60,8 +62,6 @@ from .ratfun import (
     sym_poly_criterion,
 )
 
-# Coefficients are carried mod p**n; a modulus of more bits is refused.
-MAX_MODULUS_BITS = 256
 # The bounds are exact integers of about phi(p-1) * log2(4p(p-1)) bits.
 MAX_BOUND_BITS = 2**14
 
@@ -73,16 +73,6 @@ def require_ring_size(p: int, e: int) -> None:
         raise ValueError(f"omega-level {e} is negative")
     if e >= MAX_RING_SIZE.bit_length() or p**e > MAX_RING_SIZE:
         raise ValueError(f"{p}**{e} coefficients exceed size bound {MAX_RING_SIZE}")
-
-
-def require_precision(p: int, n: int) -> None:
-    """Refuse a coefficient modulus p**n above 2**MAX_MODULUS_BITS, or n < 1,
-    before anything is allocated (p**n itself is not formed for large n)."""
-    if n < 1:
-        raise ValueError(f"precision {n} is not positive")
-    if n > MAX_MODULUS_BITS or p**n > 2**MAX_MODULUS_BITS:
-        raise ValueError(
-            f"modulus {p}**{n} exceeds size bound 2**{MAX_MODULUS_BITS}")
 
 
 def euler_phi(n: int) -> int:

@@ -35,11 +35,23 @@ MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 # A ring of more than this many coefficients is refused, and the pseudo
 # Leopoldt transform builds no kappa-exponent table of more entries.
 MAX_RING_SIZE = 10**5
+# Coefficients are carried mod p**n; a modulus of more bits is refused.
+MAX_MODULUS_BITS = 256
 # Residues mod p**n (the binomial view of a ring element, a twist table) are
 # int64 when p**n < 2**31, so that a product of two fits; a sum of such
 # products is checked to fit, or is formed from reduced terms, before numpy
 # computes it.  At larger moduli they are Python ints.
 _NP_COEFF_LIMIT = 2**31
+
+
+def require_precision(p: int, n: int) -> None:
+    """Refuse a coefficient modulus p**n above 2**MAX_MODULUS_BITS, or n < 1,
+    before anything is allocated (p**n itself is not formed for large n)."""
+    if n < 1:
+        raise ValueError(f"precision {n} is not positive")
+    if n > MAX_MODULUS_BITS or p**n > 2**MAX_MODULUS_BITS:
+        raise ValueError(
+            f"modulus {p}**{n} exceeds size bound 2**{MAX_MODULUS_BITS}")
 
 
 @lru_cache(maxsize=256)

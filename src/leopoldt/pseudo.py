@@ -1,20 +1,26 @@
 """Pseudo-polynomials: finite sums  sum_i c_i (1+T)**a_i  with p-adic exponents.
 
 Exponents are carried modulo p**M (exponent precision M), coefficients
-modulo p**n.  Term-level operator actions are exact, and equality testing
-is three-valued: a comparison whose outcome depends on digits beyond the
+modulo p**n, in two sorted parallel numpy arrays: int64 when p**n and p**M
+are below 2**31, else Python ints.  The constructor, +, -, every apply_*
+and equal_test end in one merge, a stable sort and add.reduceat, O(k log k)
+on k terms.  Term-level operator actions are exact, and equality testing is
+three-valued: a comparison whose outcome depends on digits beyond the
 exponent precision raises IndecisiveError instead of guessing.
 
 The Leopoldt transform sends a unit exponent a to Log_p(a)/Log_p(kappa).
-Up to p**M = MAX_RING_SIZE it reads that image from the cached
+Up to p**M = MAX_RING_SIZE it gathers that image from the cached
 kappa_exponent_table that the ring operators use; above the bound it runs
 the logarithm series per term, with Log_p(kappa) computed once per call.
-The coefficient twists omega(a)**delta are gathered once per residue.
+The coefficient twists omega(a)**delta are gathered from one cached table.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .padic import (
+    _NP_COEFF_LIMIT,
     MAX_RING_SIZE,
     PadicInt,
     PrecisionError,
@@ -22,6 +28,7 @@ from .padic import (
     kappa_exponent_table,
     kappa_exponents,
     require_generator,
+    require_precision,
     teichmuller_table,
     teichmuller_twist,
 )
@@ -35,29 +42,28 @@ class IndecisiveError(ValueError):
 class PseudoPoly:
     """sum of c * (1+T)**a with exponents pairwise distinct mod p**M.
 
+    Stored as `_a`, the exponent residues mod p**M in increasing order, and
+    `_c`, their coefficients mod p**n, all nonzero: int64 arrays when p**n
+    and p**M are below 2**31, object arrays of Python ints otherwise.
     Terms with equal exponent residues are merged on construction and zero
     coefficients dropped, so the representation is canonical for the given
     precisions (n for coefficients, M for exponents).  When two terms with
     nonzero coefficients collide at the exponent precision, the merge may
     misrepresent a pseudo-polynomial whose true exponents differ beyond
     precision M: the object is then marked `collided`, and equality tests
-    involving it escalate rather than answer "equal".
+    involving it escalate rather than answer "equal".  Construction, +, -
+    and each operator cost O(k log k) for k terms.
     """
 
-    __slots__ = ("p", "n", "M", "terms", "collided")
+    __slots__ = ("p", "n", "M", "collided", "_a", "_c")
 
     def __init__(self, p: int, n: int, M: int, terms, collided: bool = False):
         if not is_odd_prime(p):
             raise ValueError(f"p must be an odd prime, got {p}")
-        if n < 1 or M < 1:
-            raise ValueError("precisions must be >= 1")
-        self.p = p
-        self.n = n
-        self.M = M
-        pn = p**n
-        qm = p**M
-        merged: dict[int, int] = {}
-        nonzero_hits: dict[int, int] = {}
+        require_precision(p, n)  # n, M >= 1 and p**n, p**M bounded
+        require_precision(p, M)
+        pn, qm = p**n, p**M
+        cs, exps = [], []
         for c, a in terms:
             if isinstance(a, PadicInt):
                 if a.p != p:
@@ -65,16 +71,33 @@ class PseudoPoly:
                 if a.precision < M:
                     raise PrecisionError(f"exponent needs precision >= {M}")
                 a = a.value
-            key = a % qm
-            merged[key] = (merged.get(key, 0) + c) % pn
-            if c % pn:
-                nonzero_hits[key] = nonzero_hits.get(key, 0) + 1
-        self.collided = collided or any(v > 1 for v in nonzero_hits.values())
-        self.terms: tuple[tuple[int, int], ...] = tuple(
-            (c, a) for a, c in sorted(merged.items()) if c != 0)
+            cs.append(c % pn)
+            exps.append(a % qm)
+        self._merge(p, n, M, exps, cs, collided)
+
+    def _merge(self, p: int, n: int, M: int, a, c, collided: bool) -> None:
+        """Canonical form of sum c[i] (1+T)**a[i]: per exponent residue, sum the
+        coefficients, count the nonzero ones (two set `collided`), drop zero sums."""
+        pn = p**n
+        dtype = np.int64 if max(pn, p**M) < _NP_COEFF_LIMIT else object
+        wide = object if dtype is object else None  # widen int64 before reducing
+        a = (np.asarray(a, dtype=wide) % p**M).astype(dtype, copy=False)
+        c = (np.asarray(c, dtype=wide) % pn).astype(dtype, copy=False)
+        order = np.argsort(a, kind="stable")
+        a, c = a[order], c[order]
+        starts = np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1]))[:len(a)])
+        sums = np.add.reduceat(c, starts) % pn
+        self.p, self.n, self.M = p, n, M
+        self.collided = bool(collided or (np.add.reduceat(c != 0, starts) > 1).any())
+        self._a, self._c = a[starts][sums != 0], sums[sums != 0]
+
+    @property
+    def terms(self) -> tuple[tuple[int, int], ...]:
+        """The (coefficient, exponent) pairs in increasing exponent order."""
+        return tuple(zip(self._c.tolist(), self._a.tolist()))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not len(self._a)
 
     def _same(self, other: "PseudoPoly") -> None:
         if (self.p, self.n, self.M) != (other.p, other.n, other.M):
@@ -82,30 +105,21 @@ class PseudoPoly:
 
     def __add__(self, other: "PseudoPoly") -> "PseudoPoly":
         self._same(other)
-        return PseudoPoly(self.p, self.n, self.M, self.terms + other.terms,
-                          collided=self.collided or other.collided)
+        return _merged(self.p, self.n, self.M, np.concatenate((self._a, other._a)),
+                       np.concatenate((self._c, other._c)),
+                       self.collided or other.collided)
 
     def __neg__(self) -> "PseudoPoly":
-        return PseudoPoly(self.p, self.n, self.M, [(-c, a) for c, a in self.terms],
-                          collided=self.collided)
+        return _merged(self.p, self.n, self.M, self._a, -self._c, self.collided)
 
     def __sub__(self, other: "PseudoPoly") -> "PseudoPoly":
         return self + (-other)
 
-    def __mul__(self, other: "PseudoPoly") -> "PseudoPoly":
-        self._same(other)
-        prods = [(c1 * c2, a1 + a2) for c1, a1 in self.terms for c2, a2 in other.terms]
-        return PseudoPoly(self.p, self.n, self.M, prods,
-                          collided=self.collided or other.collided)
-
-    def scale(self, c: int) -> "PseudoPoly":
-        return PseudoPoly(self.p, self.n, self.M, [(c * x, a) for x, a in self.terms],
-                          collided=self.collided)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PseudoPoly):
             return NotImplemented
-        return (self.p, self.n, self.M, self.terms) == (other.p, other.n, other.M, other.terms)
+        return ((self.p, self.n, self.M) == (other.p, other.n, other.M) and
+                np.array_equal(self._a, other._a) and np.array_equal(self._c, other._c))
 
     def __hash__(self) -> int:
         return hash((self.p, self.n, self.M, self.terms))
@@ -113,6 +127,12 @@ class PseudoPoly:
     def __repr__(self) -> str:
         body = " + ".join(f"{c}*(1+T)^{a}" for c, a in self.terms) or "0"
         return f"PseudoPoly(p={self.p}, n={self.n}, M={self.M}: {body})"
+
+
+def _merged(p: int, n: int, M: int, a, c, collided: bool = False) -> PseudoPoly:
+    f = PseudoPoly.__new__(PseudoPoly)
+    f._merge(p, n, M, a, c, collided)
+    return f
 
 
 def equal_test(lhs: PseudoPoly, rhs: PseudoPoly, n: int) -> bool:
@@ -127,25 +147,20 @@ def equal_test(lhs: PseudoPoly, rhs: PseudoPoly, n: int) -> bool:
     IndecisiveError, never a wrong boolean.  "False" is always safe:
     splitting a merged residue class cannot make a nonzero total vanish.
     """
+    if n < 1:
+        raise ValueError(f"precision {n} is not positive")
     lhs._same(rhs)
     if n > lhs.n:
         raise PrecisionError(f"coefficients only known mod p^{lhs.n}")
-    pn = lhs.p**n
     tainted = lhs.collided or rhs.collided
-    if lhs.terms == rhs.terms and not tainted:
+    if lhs == rhs and not tainted:
         return True
-    groups: dict[int, list[int]] = {}
-    for c, a in lhs.terms:
-        groups.setdefault(a, []).append(c)
-    for c, a in rhs.terms:
-        groups.setdefault(a, []).append(-c)
-    cancelling = False
-    for cs in groups.values():
-        if sum(cs) % pn != 0:
-            return False
-        if len(cs) > 1 and any(c % pn != 0 for c in cs):
-            cancelling = True
-    if tainted or cancelling:
+    # lhs - rhs mod p**n; once it vanishes, a collision is a cross-side cancellation
+    diff = _merged(lhs.p, n, lhs.M, np.concatenate((lhs._a, rhs._a)),
+                   np.concatenate((lhs._c, -rhs._c)))
+    if not diff.is_zero():
+        return False
+    if tainted or diff.collided:
         raise IndecisiveError(
             "terms collide at exponent precision M; raise M to decide")
     return True
@@ -153,14 +168,15 @@ def equal_test(lhs: PseudoPoly, rhs: PseudoPoly, n: int) -> bool:
 
 def to_ring(f: PseudoPoly, n: int, m: int) -> RingElem:
     """Image in R(n, m): binomial coordinate [a]_m picks up each coefficient."""
+    if m < 0:
+        raise ValueError(f"omega-level {m} is negative")
     if m > f.M:
         raise PrecisionError(f"exponents only known mod p^{f.M}")
     if n > f.n:
         raise PrecisionError(f"coefficients only known mod p^{f.n}")
     q = f.p**m
-    b = [0] * q
-    for c, a in f.terms:
-        b[a % q] += c
+    b = np.zeros(q, dtype=f._c.dtype)
+    np.add.at(b, (f._a % q).astype(np.int64), f._c)
     return RingElem.from_binomial(f.p, n, m, b)
 
 
@@ -170,27 +186,22 @@ def apply_derivative(f: PseudoPoly) -> PseudoPoly:
     The exponent is only known mod p**M, so the coefficient precision of
     the result is min(n, M).
     """
-    n2 = min(f.n, f.M)
-    return PseudoPoly(f.p, n2, f.M, [(c * a, a) for c, a in f.terms],
-                      collided=f.collided)
+    return _merged(f.p, min(f.n, f.M), f.M, f._a, f._c * f._a, f.collided)
 
 
 def apply_unit_part(f: PseudoPoly) -> PseudoPoly:
     """U: delete terms whose exponent is divisible by p."""
-    return PseudoPoly(f.p, f.n, f.M,
-                      [(c, a) for c, a in f.terms if a % f.p != 0],
-                      collided=f.collided)
+    units = f._a % f.p != 0
+    return _merged(f.p, f.n, f.M, f._a[units], f._c[units], f.collided)
 
 
 def apply_isotypic(f: PseudoPoly, delta: int) -> PseudoPoly:
     """gamma_delta: terms (eta**delta c / (p-1), eta a) over eta in mu_{p-1}."""
-    p = f.p
-    pn = p**f.n
-    inv = pow(p - 1, -1, pn)
-    tw = [w * inv % pn for w in teichmuller_twist(p, f.n, delta).tolist()]
-    tei_m = teichmuller_table(p, f.M)
-    out = [(tw[r] * c % pn, tei_m[r] * a) for c, a in f.terms for r in range(1, p)]
-    return PseudoPoly(p, f.n, f.M, out, collided=f.collided)
+    p, pn = f.p, f.p**f.n
+    tw = teichmuller_twist(p, f.n, delta)[1:] * pow(p - 1, -1, pn) % pn
+    tei = np.array(teichmuller_table(p, f.M)[1:], dtype=f._a.dtype)
+    return _merged(p, f.n, f.M, np.outer(f._a, tei).ravel(), np.outer(f._c, tw).ravel(),
+                   f.collided)
 
 
 def apply_leopoldt(f: PseudoPoly, delta: int, kappa: int,
@@ -206,14 +217,15 @@ def apply_leopoldt(f: PseudoPoly, delta: int, kappa: int,
     m_out = f.M - 1 if out_precision is None else out_precision
     if m_out > f.M - 1:
         raise PrecisionError("Gamma determines exponents only mod p^(M-1)")
-    pn = p**f.n
-    q_out = p**m_out
-    tw = teichmuller_twist(p, f.n, delta).tolist()
-    units = [(c, a) for c, a in f.terms if a % p]
+    if m_out < 1:
+        raise ValueError("precisions must be >= 1")
+    units = f._a % p != 0
+    a, c = f._a[units], f._c[units]
     if p**f.M <= MAX_RING_SIZE:
-        exps = kappa_exponent_table(p, f.M, kappa)[[a for _, a in units]].tolist()
+        exps = kappa_exponent_table(p, f.M, kappa)[a.astype(np.int64)]
     else:
-        exps = [e.value for e in kappa_exponents(
-            [PadicInt(p, f.M, a) for _, a in units], PadicInt(p, f.M, kappa), f.M - 1)]
-    out = [(c * tw[a % p] % pn, e % q_out) for (c, a), e in zip(units, exps)]
-    return PseudoPoly(p, f.n, m_out, out, collided=f.collided)
+        exps = np.array([e.value for e in kappa_exponents(
+            [PadicInt(p, f.M, x) for x in a.tolist()], PadicInt(p, f.M, kappa), f.M - 1)],
+            dtype=object)
+    tw = teichmuller_twist(p, f.n, delta)[(a % p).astype(np.int64)]
+    return _merged(p, f.n, m_out, exps, c * tw, f.collided)

@@ -25,6 +25,7 @@ from leopoldt.pseudo import (
     to_ring,
 )
 from leopoldt.ring import (
+    RingElem,
     k_index,
     op_derivative,
     op_isotypic,
@@ -230,6 +231,183 @@ def test_ring_addition_and_scaling():
     g = PseudoPoly(5, 2, 2, [(3, 3)])
     assert (f + g).terms == ((4, 3), (2, 7))
     assert (f - f).is_zero()
-    assert f.scale(5).terms == ((5, 3), (10, 7))
-    prod = f * g
-    assert prod.terms == ((3, 6), (6, 10))
+
+
+def test_equal_test_refuses_nonpositive_precision():
+    f = PseudoPoly(5, 2, 3, [(1, 7), (2, 11)])
+    g = PseudoPoly(5, 2, 3, [(1, 7), (3, 11)])
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="not positive"):
+            equal_test(f, g, n)
+
+
+def test_to_ring_refuses_negative_level():
+    f = PseudoPoly(5, 2, 3, [(1, 7), (2, 11)])
+    with pytest.raises(ValueError, match="negative"):
+        to_ring(f, 2, -1)
+
+
+def test_precisions_bounded_before_the_power_is_formed():
+    # 3**161 < 2**256 < 3**162; 10**7 would form a 23-Mbit 5**M
+    assert PseudoPoly(3, 161, 161, [(1, 1)]).terms == ((1, 1),)
+    for p, n, M in ((3, 162, 2), (3, 2, 162), (5, 2, 10**7), (5, 10**7, 2)):
+        with pytest.raises(ValueError, match="size bound"):
+            PseudoPoly(p, n, M, [(1, 1)])
+
+
+# -- a per-term dict implementation, the reference for the array-backed type --
+
+
+class DictPseudoPoly:
+    """Per-term Python merge: a dict from exponent residue to coefficient."""
+
+    def __init__(self, p, n, M, terms, collided=False):
+        if n < 1 or M < 1:
+            raise ValueError("precisions must be >= 1")
+        self.p, self.n, self.M = p, n, M
+        pn, qm = p**n, p**M
+        merged, nonzero_hits = {}, {}
+        for c, a in terms:
+            if isinstance(a, PadicInt):
+                if a.precision < M:
+                    raise PrecisionError(f"exponent needs precision >= {M}")
+                a = a.value
+            key = a % qm
+            merged[key] = (merged.get(key, 0) + c) % pn
+            if c % pn:
+                nonzero_hits[key] = nonzero_hits.get(key, 0) + 1
+        self.collided = collided or any(v > 1 for v in nonzero_hits.values())
+        self.terms = tuple((c, a) for a, c in sorted(merged.items()) if c != 0)
+
+    def __add__(self, other):
+        return DictPseudoPoly(self.p, self.n, self.M, self.terms + other.terms,
+                              self.collided or other.collided)
+
+    def __neg__(self):
+        return DictPseudoPoly(self.p, self.n, self.M, [(-c, a) for c, a in self.terms],
+                              self.collided)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+
+def ref_equal_test(lhs, rhs, n):
+    if n > lhs.n:
+        raise PrecisionError(f"coefficients only known mod p^{lhs.n}")
+    pn = lhs.p**n
+    tainted = lhs.collided or rhs.collided
+    if lhs.terms == rhs.terms and not tainted:
+        return True
+    groups = {}
+    for c, a in lhs.terms:
+        groups.setdefault(a, []).append(c)
+    for c, a in rhs.terms:
+        groups.setdefault(a, []).append(-c)
+    cancelling = False
+    for cs in groups.values():
+        if sum(cs) % pn != 0:
+            return False
+        if len(cs) > 1 and any(c % pn != 0 for c in cs):
+            cancelling = True
+    if tainted or cancelling:
+        raise IndecisiveError("collision")
+    return True
+
+
+def ref_to_ring(f, n, m):
+    b = [0] * f.p**m
+    for c, a in f.terms:
+        b[a % f.p**m] += c
+    return RingElem.from_binomial(f.p, n, m, b)
+
+
+def ref_apply_derivative(f):
+    return DictPseudoPoly(f.p, min(f.n, f.M), f.M, [(c * a, a) for c, a in f.terms],
+                          f.collided)
+
+
+def ref_apply_unit_part(f):
+    return DictPseudoPoly(f.p, f.n, f.M, [(c, a) for c, a in f.terms if a % f.p],
+                          f.collided)
+
+
+def ref_apply_isotypic(f, delta):
+    p, pn = f.p, f.p**f.n
+    inv = pow(p - 1, -1, pn)
+    tei_n, tei_m = teichmuller_table(p, f.n), teichmuller_table(p, f.M)
+    out = [(pow(tei_n[r], delta % (p - 1), pn) * inv * c, tei_m[r] * a)
+           for c, a in f.terms for r in range(1, p)]
+    return DictPseudoPoly(p, f.n, f.M, out, f.collided)
+
+
+def ref_apply_leopoldt(f, delta, kappa, m_out):
+    p, pn = f.p, f.p**f.n
+    kp = PadicInt(p, f.M, kappa)
+    out = [(c * pow(teichmuller(a, p, f.n).value, delta % (p - 1), pn),
+            kappa_exponent(PadicInt(p, f.M, a), kp, f.M - 1).value)
+           for c, a in f.terms if a % p]
+    return DictPseudoPoly(p, f.n, m_out, out, f.collided)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (IndecisiveError, PrecisionError) as e:
+        return type(e)
+
+
+def _same_poly(f, ref):
+    assert (f.p, f.n, f.M) == (ref.p, ref.n, ref.M)
+    assert (f.terms, f.collided) == (ref.terms, ref.collided)
+    assert (f._a.dtype == object) == (max(f.p**f.n, f.p**f.M) >= 2**31)
+
+
+# int64 arrays; coefficients past 2**31 (3**20) and 2**64 (3**45); exponents
+# past 2**31 (3**21) and 2**64 (3**45); both past 2**31 (5**14)
+CONTEXTS = ((5, 3, 4), (7, 2, 4), (3, 4, 5), (3, 20, 3), (3, 45, 2), (3, 3, 21),
+            (3, 2, 45), (5, 14, 14))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_arrays_match_dict_reference(data):
+    p, n, M = data.draw(st.sampled_from(CONTEXTS))
+    pn, qm = p**n, p**M
+    # a small exponent pool plus shifts by multiples of p**M forces collisions
+    pool = data.draw(st.lists(st.integers(0, qm - 1), min_size=1, max_size=4))
+    coeff = st.one_of(st.integers(-pn, pn), st.integers(-2**70, 2**70), st.just(0))
+    expo = st.one_of(
+        st.builds(lambda a, k: a + k * qm, st.sampled_from(pool), st.integers(-3, 3)),
+        st.integers(-2**70, 2**70),
+        st.builds(lambda a, extra: PadicInt(p, M + extra, a),
+                  st.integers(0, 2**70), st.integers(0, 2)))
+
+    def draw_pair():
+        terms = data.draw(st.lists(st.tuples(coeff, expo), max_size=8))
+        collided = data.draw(st.booleans()) and data.draw(st.booleans())
+        return PseudoPoly(p, n, M, terms, collided), DictPseudoPoly(p, n, M, terms, collided)
+
+    (f, rf), (g, rg) = draw_pair(), draw_pair()
+    _same_poly(f, rf)
+    # f with every coefficient moved by a multiple of p**j: equal below precision j+1
+    j, x = data.draw(st.integers(1, n)), data.draw(st.integers(1, p - 1))
+    near = [(c + x * p**j, a) for c, a in f.terms]
+    for lhs, rhs, rl, rr in ((f, g, rf, rg), (f, f + g - g, rf, rf + rg - rg),
+                             (f, -(-f), rf, -(-rf)),
+                             (f, PseudoPoly(p, n, M, near), rf, DictPseudoPoly(p, n, M, near))):
+        _same_poly(lhs + rhs, rl + rr)
+        _same_poly(lhs - rhs, rl - rr)
+        _same_poly(-lhs, -rl)
+        for k in range(1, n + 2):
+            assert _outcome(equal_test, lhs, rhs, k) == _outcome(ref_equal_test, rl, rr, k)
+    _same_poly(apply_unit_part(f), ref_apply_unit_part(rf))
+    _same_poly(apply_derivative(f), ref_apply_derivative(rf))
+    delta = data.draw(st.integers(-1, p - 1))
+    _same_poly(apply_isotypic(f, delta), ref_apply_isotypic(rf, delta))
+    kappa = 1 + p * data.draw(st.integers(1, p - 1))
+    m_out = data.draw(st.integers(1, M - 1))
+    _same_poly(apply_leopoldt(f, delta, kappa, m_out),
+               ref_apply_leopoldt(rf, delta, kappa, m_out))
+    for m in range(min(M, 3) + 1):
+        k = data.draw(st.integers(1, n))
+        assert to_ring(f, k, m) == ref_to_ring(rf, k, m)
