@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, prod
 
-from .padic import PadicInt, is_odd_prime, teichmuller, teichmuller_table
+from .padic import PadicInt, is_odd_prime, teichmuller, teichmuller_twist
 
 
 # A conductor is refused above this before any table of d entries is built
@@ -329,7 +329,7 @@ def bernoulli_chi(chi: DirichletCharacter, k: int, precision: int) -> PadicInt:
         raise ResourceGuardError(f"B_({k},chi) for d = {d} exceeds the index limit "
                                  f"{BERNOULLI_INDEX_LIMIT} or {RESOURCE_GUARD} power-sum terms")
     mod = p ** (precision + 1)
-    tei = teichmuller_table(p, precision + 1)
+    tei = teichmuller_twist(p, precision + 1, 1).tolist()
     sums = [0] * (k + 1)
     for a in range(1, d + 1):
         c = tei[chi.residue(a)]

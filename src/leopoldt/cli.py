@@ -15,7 +15,7 @@ import json
 import random
 import sys
 
-from .padic import PadicInt, is_odd_prime
+from .padic import PadicInt, is_odd_prime, require_precision, require_ring_size
 from .ring import RingElem, op_derivative, op_isotypic, op_unit_part
 from .characters import (
     DirichletCharacter,
@@ -245,8 +245,8 @@ def _sum_gammas(f: RingElem, deltas) -> RingElem:
 def cmd_selftest(args) -> int:
     if args.cases < 1:  # no cases would hold every identity vacuously
         raise ValueError(f"--cases must be at least 1, got {args.cases}")
-    lfunc.require_ring_size(args.p, args.m)
-    lfunc.require_precision(args.p, args.n)
+    require_ring_size(args.p, args.m)
+    require_precision(args.p, args.n)
     results = _selftest_identities(args.p, args.seed, args.n, args.m, args.cases)
     doc = {
         "command": "selftest",

@@ -32,8 +32,8 @@ from .padic import (
     PadicInt,
     kappa_unit_table,
     require_precision,
+    require_ring_size,
     teichmuller,
-    teichmuller_table,
     teichmuller_twist,
 )
 from .ring import (
@@ -66,15 +66,6 @@ from .ratfun import (
 MAX_BOUND_BITS = 2**14
 
 
-def require_ring_size(p: int, e: int) -> None:
-    """Refuse a ring of p**e coefficients above MAX_RING_SIZE, or e < 0,
-    before anything is allocated (p**e itself is not formed for large e)."""
-    if e < 0:
-        raise ValueError(f"omega-level {e} is negative")
-    if e >= MAX_RING_SIZE.bit_length() or p**e > MAX_RING_SIZE:
-        raise ValueError(f"{p}**{e} coefficients exceed size bound {MAX_RING_SIZE}")
-
-
 def euler_phi(n: int) -> int:
     out = n
     for ell in _prime_factors(n):
@@ -101,8 +92,7 @@ def f_chi(chi: DirichletCharacter, n: int, m: int) -> RingElem:
         raise ValueError("d must be prime to p")
     q = p**m
     pn = p**n
-    tei = teichmuller_table(p, n)
-    values = [tei[r] for r in chi.residues]  # chi(a) for a mod d, 0 off units
+    values = teichmuller_twist(p, n, 1)[list(chi.residues)].tolist()  # chi(a), a mod d
     width = min(d, q)
     scale = -pow(d, -1, pn)
     distinct = [scale * sum(j * values[(r + j * q) % d] for j in range(1, d)) % pn

@@ -44,6 +44,21 @@ MAX_MODULUS_BITS = 256
 _NP_COEFF_LIMIT = 2**31
 
 
+def residue_dtype(modulus: int):
+    """The dtype of every residue array mod `modulus`: int64 below 2**31,
+    else object (Python ints), the one exact fallback."""
+    return np.int64 if modulus < _NP_COEFF_LIMIT else object
+
+
+def require_ring_size(p: int, e: int) -> None:
+    """Refuse a ring of p**e coefficients above MAX_RING_SIZE, or e < 0,
+    before anything is allocated (p**e itself is not formed for large e)."""
+    if e < 0:
+        raise ValueError(f"omega-level {e} is negative")
+    if e >= MAX_RING_SIZE.bit_length() or p**e > MAX_RING_SIZE:
+        raise ValueError(f"{p}**{e} coefficients exceed size bound {MAX_RING_SIZE}")
+
+
 def require_precision(p: int, n: int) -> None:
     """Refuse a coefficient modulus p**n above 2**MAX_MODULUS_BITS, or n < 1,
     before anything is allocated (p**n itself is not formed for large n)."""
@@ -183,18 +198,9 @@ def teichmuller(a: int | PadicInt, p: int | None = None, precision: int | None =
     return PadicInt(p, precision, pow(a % q, p ** (precision - 1), q))
 
 
-@lru_cache(maxsize=64)
-def teichmuller_table(p: int, precision: int) -> tuple[int, ...]:
-    """Residues of the Teichmuller lifts omega(r) mod p**precision, r = 0..p-1 (entry 0 is 0)."""
-    q = p**precision
-    e = p ** (precision - 1)
-    return (0,) + tuple(pow(r, e, q) for r in range(1, p))
-
-
 def _power_table(x: int, count: int, q: int) -> np.ndarray:
-    """x**e mod q for e < count, by doubling: int64 when q < 2**31, else an
-    object array of Python ints."""
-    powers = np.ones(1, dtype=np.int64 if q < _NP_COEFF_LIMIT else object)
+    """x**e mod q for e < count, by doubling, of `residue_dtype(q)`."""
+    powers = np.ones(1, dtype=residue_dtype(q))
     while len(powers) < count:
         powers = np.concatenate((powers, powers * pow(x, len(powers), q) % q))
     return powers[:count]
@@ -228,8 +234,8 @@ def teichmuller_twist(p: int, precision: int, delta: int) -> np.ndarray:
     """omega(t)**delta mod p**precision for t = 0..p-1 (entry 0 is 0).
 
     Gathered from the cached tables above as omega(g)**(delta ind(t) mod p-1):
-    a read-only int64 array when p**precision < 2**31, else an object array
-    of Python ints.
+    a read-only array of `residue_dtype(p**precision)`.  delta = 1 gives the
+    Teichmuller lifts themselves.
     """
     _, ind = _primitive_root_index(p)
     out = _teichmuller_powers(p, precision)[delta % (p - 1) * ind % (p - 1)]
@@ -322,11 +328,12 @@ def kappa_exponents(units: list[PadicInt], kappa: PadicInt,
 def kappa_unit_table(p: int, level: int, kappa: int) -> np.ndarray:
     """omega(r) * kappa**e mod p**level at row r-1, column e < p**(level-1):
     kappa has that order, so each unit a < p**level shows once, at column
-    Log_p(a)/Log_p(kappa) of row (a mod p) - 1.  A read-only int64 array."""
+    Log_p(a)/Log_p(kappa) of row (a mod p) - 1.  A read-only int64 array;
+    p**level is bounded by MAX_RING_SIZE."""
     require_generator(kappa, p)
+    require_ring_size(p, level)
     q = p**level
-    tei = np.array(teichmuller_table(p, level)[1:], dtype=np.int64)
-    out = np.outer(tei, _power_table(kappa, q // p, q)) % q
+    out = np.outer(teichmuller_twist(p, level, 1)[1:], _power_table(kappa, q // p, q)) % q
     out.flags.writeable = False
     return out
 

@@ -1,12 +1,13 @@
 """Pseudo-polynomials: finite sums  sum_i c_i (1+T)**a_i  with p-adic exponents.
 
 Exponents are carried modulo p**M (exponent precision M), coefficients
-modulo p**n, in two sorted parallel numpy arrays: int64 when p**n and p**M
-are below 2**31, else Python ints.  The constructor, +, -, every apply_*
-and equal_test end in one merge, a stable sort and add.reduceat, O(k log k)
-on k terms.  Term-level operator actions are exact, and equality testing is
-three-valued: a comparison whose outcome depends on digits beyond the
-exponent precision raises IndecisiveError instead of guessing.
+modulo p**n, in two sorted parallel numpy arrays of
+`residue_dtype(max(p**n, p**M))`: int64 below 2**31, else Python ints.
+The constructor, +, -, every apply_* and equal_test end in one merge, a
+stable sort and add.reduceat, O(k log k) on k terms.  Term-level operator
+actions are exact, and equality testing is three-valued: a comparison
+whose outcome depends on digits beyond the exponent precision raises
+IndecisiveError instead of guessing.
 
 The Leopoldt transform sends a unit exponent a to Log_p(a)/Log_p(kappa).
 Up to p**M = MAX_RING_SIZE it gathers that image from the cached
@@ -20,7 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 from .padic import (
-    _NP_COEFF_LIMIT,
     MAX_RING_SIZE,
     PadicInt,
     PrecisionError,
@@ -29,7 +29,8 @@ from .padic import (
     kappa_exponents,
     require_generator,
     require_precision,
-    teichmuller_table,
+    require_ring_size,
+    residue_dtype,
     teichmuller_twist,
 )
 from .ring import RingElem
@@ -43,8 +44,8 @@ class PseudoPoly:
     """sum of c * (1+T)**a with exponents pairwise distinct mod p**M.
 
     Stored as `_a`, the exponent residues mod p**M in increasing order, and
-    `_c`, their coefficients mod p**n, all nonzero: int64 arrays when p**n
-    and p**M are below 2**31, object arrays of Python ints otherwise.
+    `_c`, their coefficients mod p**n, all nonzero, both of
+    `residue_dtype(max(p**n, p**M))`.
     Terms with equal exponent residues are merged on construction and zero
     coefficients dropped, so the representation is canonical for the given
     precisions (n for coefficients, M for exponents).  When two terms with
@@ -79,7 +80,7 @@ class PseudoPoly:
         """Canonical form of sum c[i] (1+T)**a[i]: per exponent residue, sum the
         coefficients, count the nonzero ones (two set `collided`), drop zero sums."""
         pn = p**n
-        dtype = np.int64 if max(pn, p**M) < _NP_COEFF_LIMIT else object
+        dtype = residue_dtype(max(pn, p**M))
         wide = object if dtype is object else None  # widen int64 before reducing
         a = (np.asarray(a, dtype=wide) % p**M).astype(dtype, copy=False)
         c = (np.asarray(c, dtype=wide) % pn).astype(dtype, copy=False)
@@ -168,8 +169,7 @@ def equal_test(lhs: PseudoPoly, rhs: PseudoPoly, n: int) -> bool:
 
 def to_ring(f: PseudoPoly, n: int, m: int) -> RingElem:
     """Image in R(n, m): binomial coordinate [a]_m picks up each coefficient."""
-    if m < 0:
-        raise ValueError(f"omega-level {m} is negative")
+    require_ring_size(f.p, m)  # m >= 0 and p**m bounded before the view exists
     if m > f.M:
         raise PrecisionError(f"exponents only known mod p^{f.M}")
     if n > f.n:
@@ -199,7 +199,7 @@ def apply_isotypic(f: PseudoPoly, delta: int) -> PseudoPoly:
     """gamma_delta: terms (eta**delta c / (p-1), eta a) over eta in mu_{p-1}."""
     p, pn = f.p, f.p**f.n
     tw = teichmuller_twist(p, f.n, delta)[1:] * pow(p - 1, -1, pn) % pn
-    tei = np.array(teichmuller_table(p, f.M)[1:], dtype=f._a.dtype)
+    tei = teichmuller_twist(p, f.M, 1)[1:].astype(f._a.dtype, copy=False)
     return _merged(p, f.n, f.M, np.outer(f._a, tei).ravel(), np.outer(f._c, tw).ravel(),
                    f.collided)
 

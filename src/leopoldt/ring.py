@@ -5,10 +5,10 @@ neighbourhood basis of zero in Z_p[[T]], so these quotients are where all
 exact computation happens.
 
 An element is stored by its coordinates in the binomial basis
-{(1+T)**a : 0 <= a < p**m}, entries mod p**n.  When p**n < 2**31 the view
-is a read-only int64 numpy array, and every operator works on it with
-numpy; otherwise it is a tuple of Python ints, the one exact fallback.
-Every operator of the calculus is an exponent map there, O(p**m):
+{(1+T)**a : 0 <= a < p**m}, entries mod p**n, as one read-only numpy array
+of `padic.residue_dtype(p**n)`: int64 when p**n < 2**31, else Python ints,
+the one exact fallback.  Every operator works on it with numpy, and every
+operator of the calculus is an exponent map there, O(p**m):
 
 * substitution  sigma_a : F(T) -> F((1+T)**a - 1)     permutes exponents,
 * derivative    D = (1+T) d/dT                        multiplies b_a by a,
@@ -18,13 +18,14 @@ Every operator of the calculus is an exponent map there, O(p**m):
 
 gamma_delta and Gamma_delta are twisted orbit sums, twist @ view[table]
 mod p**n over cached int64 tables of exponents (the mu_{p-1}-orbits of
-the nonzero exponents; the units omega(r) kappa**e), with one int64 guard
-and one exact fallback.  Division by 1 - beta (1+T)**e is one cumsum per
-orbit of a -> a + e.  The monomial coefficients (the canonical
-representative of degree < p**m, which carries the Weierstrass data) come
-from the one x <-> T basis change `taylor_shift`: mod p by Lucas's theorem
-in O(m p**(m+1)), which is all invariant certification needs, and mod p**n
-for `coeffs` and the series report in p**m numpy steps, O(p**(2m)) work.
+the nonzero exponents; the units omega(r) kappa**e), in int64 while the
+one sum guard `_fits_int64` holds and in exact Python ints past it.
+Division by 1 - beta (1+T)**e is one cumsum per orbit of a -> a + e.
+The monomial coefficients (the canonical representative of degree < p**m,
+which carries the Weierstrass data) come from the one x <-> T basis change
+`taylor_shift`: mod p by Lucas's theorem in O(m p**(m+1)), which is all
+invariant certification needs, and mod p**n for `coeffs` and the series
+report in p**m numpy steps, O(p**(2m)) work.
 
 The dense-polynomial helpers here (`_pmul`, `_pdivmod`, ..., and
 `taylor_shift`) also serve `ratfun` and `lfunc`.
@@ -44,13 +45,13 @@ from functools import lru_cache
 import numpy as np
 
 from .padic import (
-    _NP_COEFF_LIMIT,
     NotAUnitError,
     PadicInt,
     PrecisionError,
     is_odd_prime,
     kappa_unit_table,
-    teichmuller_table,
+    require_ring_size,
+    residue_dtype,
     teichmuller_twist,
 )
 
@@ -65,40 +66,38 @@ def _mod(x, pn: int):
     return x % pn if x.dtype == object else x - x // pn * pn
 
 
-def _stored(b, pn: int, reduced: bool = False):
-    """b mod pn as stored: a read-only int64 array when pn < 2**31 (a
-    `reduced` one as it is), else a tuple of Python ints."""
-    if isinstance(b, np.ndarray) and (pn >= _NP_COEFF_LIMIT or b.dtype != np.int64):
-        b = b.tolist()
-    if pn >= _NP_COEFF_LIMIT:
-        return tuple(int(x) % pn for x in b)
-    if isinstance(b, np.ndarray):
-        arr = b if reduced else _mod(b, pn)
+def _fits_int64(k: int, q: int) -> bool:
+    """Whether a sum of k products of residues mod q fits in int64:
+    k (q-1)**2 < 2**63."""
+    return k * (q - 1) ** 2 < 2**63
+
+
+def _stored(b, pn: int, reduced: bool = False) -> np.ndarray:
+    """b mod pn as stored: a read-only array of `residue_dtype(pn)`.  A
+    `reduced` array (entries in [0, pn) already) only changes dtype; on the
+    exact branch every entry goes through int(), so that no numpy scalar
+    is stored."""
+    dtype = residue_dtype(pn)
+    if reduced:
+        arr = b.astype(dtype, copy=False)
+    elif dtype is object:
+        arr = np.array([int(x) % pn for x in b], dtype=object)
+    elif isinstance(b, np.ndarray) and b.dtype == np.int64:
+        arr = _mod(b, pn)
     else:
         arr = np.array([x % pn for x in b], dtype=np.int64)
     arr.flags.writeable = False
     return arr
 
 
-def _ints(b):
-    """The stored view as a sequence of Python ints."""
-    return b.tolist() if isinstance(b, np.ndarray) else b
-
-
-def _array(b, exact: bool = False) -> np.ndarray:
-    """The stored view for numpy: the int64 array itself, or an object array
-    of Python ints for the tuple (and wherever exact arithmetic is asked)."""
-    if isinstance(b, np.ndarray) and not exact:
-        return b
-    return np.array(_ints(b), dtype=object)
-
-
-def _key(b):
-    return b.tobytes() if isinstance(b, np.ndarray) else b
+def _key(b: np.ndarray):
+    # the bytes of an object array are pointers: an exact view keys by its ints
+    return tuple(b.tolist()) if b.dtype == object else b.tobytes()
 
 
 class RingElem:
-    """Element of R(n, m), stored as its binomial view b (F = sum b_a (1+T)**a)."""
+    """Element of R(n, m), stored as its binomial view b (F = sum b_a (1+T)**a),
+    a read-only numpy array (see `_stored`)."""
 
     __slots__ = ("p", "n", "m", "_bin")
 
@@ -108,9 +107,8 @@ class RingElem:
             raise ValueError(f"p must be an odd prime, got {p}")
         if n < 1 or m < 0:
             raise ValueError(f"need n >= 1 and m >= 0, got ({n}, {m})")
-        self.p = p
-        self.n = n
-        self.m = m
+        require_ring_size(p, m)
+        self.p, self.n, self.m = p, n, m
         q = p**m
         pn = p**n
         if _binomial is None:
@@ -140,12 +138,12 @@ class RingElem:
     def coeffs(self) -> tuple[int, ...]:
         """Monomial coefficients of the canonical representative: Q numpy
         steps of O(Q) each, or O(m p Q) by Lucas's theorem for n = 1."""
-        c = taylor_shift(_ints(self._bin), 1, self.p, self.n)
+        c = taylor_shift(self._bin.tolist(), 1, self.p, self.n)
         return tuple(c + [0] * (self.p**self.m - len(c)))
 
     @property
     def binomial(self) -> tuple[int, ...]:
-        return tuple(_ints(self._bin))
+        return tuple(self._bin.tolist())
 
     # -- ring structure ----------------------------------------------------
 
@@ -157,7 +155,7 @@ class RingElem:
 
     def __add__(self, other: "RingElem") -> "RingElem":
         self._require_same(other)
-        s = _array(self._bin) + _array(other._bin)
+        s = self._bin + other._bin
         return RingElem.from_binomial(self.p, self.n, self.m, s)
 
     def __sub__(self, other: "RingElem") -> "RingElem":
@@ -169,7 +167,7 @@ class RingElem:
         return RingElem.from_binomial(self.p, self.n, self.m, b)
 
     def scale(self, c: int) -> "RingElem":
-        s = _array(self._bin) * (c % self.p**self.n)
+        s = self._bin * (c % self.p**self.n)
         return RingElem.from_binomial(self.p, self.n, self.m, s)
 
     def __eq__(self, other) -> bool:
@@ -183,7 +181,7 @@ class RingElem:
         return hash((self.p, self.n, self.m, _key(self._bin)))
 
     def is_zero(self) -> bool:
-        return not _array(self._bin).any()
+        return not self._bin.any()
 
     def reduce(self, n: int | None = None, m: int | None = None) -> "RingElem":
         """Image in R(n', m') for n' <= n, m' <= m (fold exponents, drop digits)."""
@@ -193,12 +191,12 @@ class RingElem:
             raise PrecisionError("reduce cannot increase precision")
         if (n2, m2) == (self.n, self.m):
             return self
-        folded = _array(self._bin).reshape(-1, self.p**m2).sum(axis=0)
+        folded = self._bin.reshape(-1, self.p**m2).sum(axis=0)
         return RingElem.from_binomial(self.p, n2, m2, folded)
 
     def constant_term(self) -> int:
         """F(0) = sum b_a mod p**n."""
-        return int(_array(self._bin).sum()) % self.p**self.n
+        return int(self._bin.sum()) % self.p**self.n
 
     def __repr__(self) -> str:
         coeffs = self.coeffs
@@ -333,7 +331,7 @@ def taylor_shift(coeffs, s: int, p: int | None, n: int = 1) -> list:
     a = _trim([c % pn for c in coeffs] if pn else list(coeffs))
     if not a:
         return a
-    a = np.array(a, dtype=np.int64 if pn and pn < _NP_COEFF_LIMIT else object)
+    a = np.array(a, dtype=residue_dtype(pn) if pn else object)
     if pn and n == 1:
         return _lucas_shift(a, s, p).tolist()
     a[1::2] *= s
@@ -346,11 +344,12 @@ def taylor_shift(coeffs, s: int, p: int | None, n: int = 1) -> list:
 
 def _cyclic_convolve(a, b, p: int, n: int):
     """Convolution of binomial views modulo x**Q - 1, left for the caller to
-    reduce mod p**n: one np.convolve, in int64 while Q (p**n - 1)**2 < 2**62
-    and on exact object arrays past it."""
+    reduce mod p**n: one np.convolve, in int64 while each folded output, a
+    sum of exactly Q products, fits (`_fits_int64`), on exact object arrays
+    past it."""
     q = len(a)
-    if q * (p**n - 1) ** 2 >= 2**62:  # always for a tuple view: p**n >= 2**31
-        a, b = _array(a, exact=True), _array(b, exact=True)
+    if not _fits_int64(q, p**n):
+        a, b = a.astype(object, copy=False), b.astype(object, copy=False)
     conv = np.convolve(a, b)
     out = conv[:q].copy()
     out[: q - 1] += conv[q:]
@@ -402,7 +401,7 @@ def _divide_binomial(f: RingElem, beta: int, e: int) -> RingElem:
     powers = [1]  # beta**0 .. beta**L
     for _ in range(length):
         powers.append(powers[-1] * beta % pn)
-    b = _array(f._bin)
+    b = f._bin
     pw = np.array(powers, dtype=b.dtype)
     orbits = (np.arange(q // length)[:, None] + e * np.arange(length)) % q
     run = (b[orbits] * pw[:0:-1] % pn).cumsum(axis=1) % pn
@@ -431,7 +430,7 @@ def substitute_exp(f: RingElem, a: int | PadicInt) -> RingElem:
             raise PrecisionError(f"exponent needs precision >= m = {m}")
         a = a.value
     a %= q
-    b = _array(f._bin)
+    b = f._bin
     out = np.zeros(q, dtype=b.dtype)
     np.add.at(out, a * np.arange(q, dtype=np.int64) % q, b)
     return RingElem.from_binomial(p, n, m, out)
@@ -447,7 +446,7 @@ def op_derivative(f: RingElem) -> RingElem:
     n2 = min(n, m) if m >= 1 else 1
     if m == 0:
         return ring_zero(p, n2, 0)
-    d = _array(f._bin) * np.arange(p**m, dtype=np.int64)
+    d = f._bin * np.arange(p**m, dtype=np.int64)
     return RingElem.from_binomial(p, n2, m, d)
 
 
@@ -456,7 +455,7 @@ def op_unit_part(f: RingElem) -> RingElem:
 
     Exact at full precision n: U((1+T)**a) is (1+T)**a for unit a, else 0.
     """
-    out = _array(f._bin).copy()
+    out = f._bin.copy()
     out[::f.p] = 0
     return RingElem._from_reduced(f.p, f.n, f.m, out)
 
@@ -474,18 +473,17 @@ def _orbit_index(p: int, m: int) -> np.ndarray:
     u = a.copy()
     for _ in range(m - 1):  # the unit part of a: strip up to m-1 factors p
         u = np.where(u % p == 0, u // p, u)
-    tei = np.array(teichmuller_table(p, max(m, 1))[1:], dtype=np.int64)
-    idx = np.outer(tei, a[u % p == 1]) % q
+    idx = np.outer(teichmuller_twist(p, max(m, 1), 1)[1:], a[u % p == 1]) % q
     idx.flags.writeable = False
     return idx
 
 
 def _twisted_orbit_sum(f: RingElem, rows: np.ndarray, twist: np.ndarray) -> np.ndarray:
     """twist @ b[rows] mod p**n: each column sums p-1 products of entries
-    below p**n, in int64 while (p-1)(p**n-1)**2 < 2**63, else in exact
-    Python ints (always for a tuple view, where p**n > 2**31)."""
+    below p**n, in int64 while they fit (`_fits_int64`), else in exact
+    Python ints."""
     pn = f.p**f.n
-    b = _array(f._bin, exact=(f.p - 1) * (pn - 1) ** 2 >= 2**63)
+    b = f._bin if _fits_int64(f.p - 1, pn) else f._bin.astype(object, copy=False)
     return _mod(twist.astype(b.dtype, copy=False) @ b[rows], pn)
 
 
@@ -562,8 +560,9 @@ class InvariantReport:
 @lru_cache(maxsize=64)
 def _pascal_mod_p(p: int, w: int, s: int) -> np.ndarray:
     """C(a, k) s**(a-k) mod p at row a, column k, for digits a, k < w <= p
-    and s = +-1; int64 while w (p-1)**2 < 2**63, else exact objects."""
-    out = np.zeros((w, w), dtype=np.int64 if w * (p - 1) ** 2 < 2**63 else object)
+    and s = +-1; int64 while a row of w products mod p fits (`_fits_int64`),
+    else exact objects."""
+    out = np.zeros((w, w), dtype=np.int64 if _fits_int64(w, p) else object)
     out[:, 0] = 1
     for a in range(1, w):
         out[a, 1:] = (out[a - 1, 1:] + out[a - 1, :-1]) % p
@@ -596,7 +595,7 @@ def invariants(f: RingElem) -> InvariantReport:
     """Certify from the monomial coefficients mod p, `_lucas_shift` of the
     view mod p, in O(m p**(m+1)); their degree stays below p**m, so no
     reduction by omega_m is due."""
-    c = _lucas_shift((_array(f._bin) % f.p).astype(np.int64), 1, f.p)
+    c = _lucas_shift((f._bin % f.p).astype(np.int64), 1, f.p)
     units = np.flatnonzero(c)
     if units.size:
         return InvariantReport(0, int(units[0]), "certified", (f.n, f.m))
@@ -621,7 +620,7 @@ def evaluate(f: RingElem, t: PadicInt) -> PadicInt:
     pn = p**n
     acc = 0
     x = (1 + t.value) % pn
-    for ba in reversed(_ints(f._bin)):
+    for ba in reversed(f._bin.tolist()):
         acc = (acc * x + ba) % pn
     return PadicInt(p, out_prec, acc)
 
@@ -635,7 +634,7 @@ def exponent_moment(f: RingElem, k: int) -> PadicInt:
     out_prec = min(n, m) if m >= 1 else n
     pn = p**n
     acc = 0
-    for a, ba in enumerate(_ints(f._bin)):
+    for a, ba in enumerate(f._bin.tolist()):
         if ba:
             acc = (acc + ba * pow(a, k, pn)) % pn
     return PadicInt(p, out_prec, acc)

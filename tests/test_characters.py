@@ -19,7 +19,7 @@ from leopoldt.characters import (
     lp_value,
     trivial_character,
 )
-from leopoldt.padic import teichmuller, teichmuller_table
+from leopoldt.padic import teichmuller
 
 
 def limit_sum_bernoulli(chi, k, precision, guard=2):
@@ -33,8 +33,8 @@ def limit_sum_bernoulli(chi, k, precision, guard=2):
         return 0
     n_lim = precision + guard
     mod = p ** (precision + n_lim)
-    tei = teichmuller_table(p, precision + n_lim)
-    chi_mod = [tei[r] for r in chi.residues]
+    chi_mod = [teichmuller(r, p, precision + n_lim).value if r else 0
+               for r in chi.residues]
     s = sum(chi_mod[a % d] * pow(a, k, mod)
             for a in range(1, d * p**n_lim + 1)) % mod
     if s % p**n_lim:

@@ -437,7 +437,7 @@ def test_series_without_unit_part_matches_route_with_it():
               for n, m in ((2, 2), (3, 3), (2, 4))]
     cases += [(theta, 3, 2, c) for p in (5, 7, 11) for theta in enumerate_even_theta(p, 1)
               for c in valid_multipliers(p, theta.delta)]
-    # a tuple view: 7**12 > 2**31
+    # an object view, the exact fallback: 7**12 > 2**31
     cases += [(theta, 12, 2, None) for theta in enumerate_even_theta(7, 1)]
     oracle = [(theta, 3, 2, None) for p, d in ORACLE_CONDUCTORS
               for theta in enumerate_even_theta(p, d) if theta.chi.d >= 2]

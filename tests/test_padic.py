@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,9 +15,10 @@ from leopoldt.padic import (
     kappa_exponent,
     kappa_exponent_table,
     teichmuller,
-    teichmuller_table,
     teichmuller_twist,
 )
+from leopoldt.pseudo import PseudoPoly, to_ring
+from leopoldt.ring import RingElem, ring_zero
 
 
 def test_canonical_value_and_modulus():
@@ -151,13 +153,6 @@ def test_kappa_must_generate():
         kappa_exponent(PadicInt(5, 4, 6), PadicInt(5, 4, 7), 2)
 
 
-def test_teichmuller_table_matches_pointwise():
-    tab = teichmuller_table(7, 3)
-    assert tab[0] == 0
-    for r in range(1, 7):
-        assert tab[r] == teichmuller(r, 7, 3).value
-
-
 def test_shift_down_exact_division():
     x = PadicInt(5, 4, 250)
     y = x.shift_down(2)
@@ -171,12 +166,12 @@ def _log_series_table(p, level, kappa):
     # dividing out omega(a), both logarithms divided by p before inverting
     q = p**level
     out_mod = p ** (level - 1)
-    tei = teichmuller_table(p, level)
     lk = _log_series(kappa - 1, p, level) // p
     out = [0] * q
     for a in range(1, q):
         if a % p and level > 1:
-            la = _log_series(a * pow(tei[a % p], -1, q) - 1, p, level) // p
+            om = teichmuller(a, p, level).value
+            la = _log_series(a * pow(om, -1, q) - 1, p, level) // p
             out[a] = la * pow(lk, -1, out_mod) % out_mod
     return out
 
@@ -195,13 +190,35 @@ def test_kappa_exponent_table_matches_log_series(p, level, kappas):
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37])
 def test_teichmuller_twist_matches_pow(p):
-    # the top n with p**n < 2**31 gives int64, the next one Python ints
+    # the top n with p**n < 2**31 gives int64, the next one Python ints;
+    # delta = 1 gives the lifts themselves, pointwise as `teichmuller`
     top = max(n for n in range(1, 32) if p**n < 2**31)
     for n in (1, top, top + 1):
         pn = p**n
-        tei = teichmuller_table(p, n)
+        tei = [0] + [teichmuller(t, p, n).value for t in range(1, p)]
+        assert teichmuller_twist(p, n, 1).tolist() == tei
         for delta in range(2 - p, p):
             tw = teichmuller_twist(p, n, delta)
             assert tw.dtype == ("int64" if pn < 2**31 else object) and not tw.flags.writeable
             assert all(type(x) is int for x in tw.tolist())
             assert tw.tolist() == [0] + [pow(tei[t], delta, pn) for t in range(1, p)]
+
+
+
+@pytest.mark.parametrize("call", [
+    lambda: to_ring(PseudoPoly(3, 2, 12, [(1, 1)]), 2, 12),
+    lambda: RingElem(3, 2, 12, [1, 2]),
+    lambda: ring_zero(3, 2, 12),
+    lambda: kappa_exponent_table(3, 12, 4),
+], ids=["to_ring", "RingElem", "ring_zero", "kappa_exponent_table"])
+def test_ring_size_refused_before_allocation(call):
+    # each call asks for a view of 3**12 = 531441 entries, above MAX_RING_SIZE:
+    # it is refused before anything of that size is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="size bound"):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

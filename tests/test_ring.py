@@ -1,3 +1,4 @@
+import contextlib
 from fractions import Fraction
 from unittest import mock
 
@@ -468,17 +469,32 @@ def _near_top(rng, pn, q):
     return [pn - 1 - rng.randrange(3) for _ in range(q)]
 
 
-@pytest.mark.parametrize("p, m", [(3, 4), (5, 3)])
-def test_mul_int64_boundary(rng, p, m):
-    # the int64 path of * runs while q*(p**n - 1)**2 < 2**62: compare it at
-    # the last p**n it admits, and the exact (object array) path at the
-    # first one it refuses
+@contextlib.contextmanager
+def _guard_verdicts():
+    # every answer of ring's one int64 sum guard, in call order
     import leopoldt.ring as ring
 
+    real, seen = ring._fits_int64, []
+
+    def spy(k, q):
+        seen.append(real(k, q))
+        return seen[-1]
+
+    with mock.patch.object(ring, "_fits_int64", spy):
+        yield seen
+
+
+@pytest.mark.parametrize("p, m", [(3, 4), (5, 3)])
+def test_mul_int64_boundary(rng, p, m):
+    # each folded output of * sums exactly q products, so its int64 path runs
+    # while q*(p**n - 1)**2 < 2**63: compare it at the last p**n it admits,
+    # and the exact (object array) path at the first one it refuses; both
+    # views are int64 (p**n < 2**31)
     q = p**m
     n = 1
-    while q * (p ** (n + 1) - 1) ** 2 < 2**62:
+    while q * (p ** (n + 1) - 1) ** 2 < 2**63:
         n += 1
+    assert p ** (n + 1) < 2**31
     for n2, fast in ((n, True), (n + 1, False)):
         pn = p**n2
         cases = [([pn - 1] * q, [pn - 1] * q)]
@@ -486,11 +502,12 @@ def test_mul_int64_boundary(rng, p, m):
                   for _ in range(3)]
         for a, b in cases:
             f, g = RingElem.from_binomial(p, n2, m, a), RingElem.from_binomial(p, n2, m, b)
-            with mock.patch.object(ring, "_array", wraps=ring._array) as spy:
+            with _guard_verdicts() as seen, \
+                    mock.patch.object(np, "convolve", wraps=np.convolve) as conv:
                 got = f * g
             assert got.binomial == _schoolbook_cyclic(a, b, pn)
-            exact = [call for call in spy.call_args_list if call.kwargs.get("exact")]
-            assert bool(exact) != fast
+            assert seen == [fast]
+            assert conv.call_args.args[0].dtype == (np.int64 if fast else object)
 
 
 @pytest.mark.parametrize("p, n, m", [(3, 19, 4), (7, 11, 3)])
@@ -532,28 +549,27 @@ def _leopoldt_orbit_reference(b, p, n, m, delta, kappa):
 
 # gamma and Gamma sum p-1 twisted products per output entry: in int64 while
 # (p-1)(p**n - 1)**2 < 2**63, in exact ints past it.  (13, 8) is the closest
-# point below, (19, 7) lies between 2**63 and 2**64, and (7, 12) has a tuple view.
+# point below, (19, 7) lies between 2**63 and 2**64, and (7, 12) has an
+# object view.
 @pytest.mark.parametrize("p, n, m, exact", [
     (3, 19, 4, False), (5, 13, 3, False), (13, 8, 2, False),
     (7, 11, 2, True), (19, 7, 2, True), (7, 12, 2, True)])
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
 def test_twisted_orbit_sums_at_int64_guard(p, n, m, exact, data):
-    import leopoldt.ring as ring
-
     q, pn = p**m, p**n
     assert ((p - 1) * (pn - 1) ** 2 >= 2**63) == exact
     near_top = st.integers(min_value=pn - 3, max_value=pn - 1)
     entry = data.draw(st.sampled_from((near_top, st.integers(0, pn - 1))))
     b = data.draw(st.lists(entry, min_size=q, max_size=q))
     f = RingElem.from_binomial(p, n, m, b)
-    with mock.patch.object(ring, "_array", wraps=ring._array) as spy:
+    with _guard_verdicts() as seen:
         for delta in range(p - 1):
             assert op_isotypic(f, delta).binomial == _gamma_orbit_reference(b, p, n, m, delta)
             for kappa in (1 + p, 1 + 2 * p):
                 assert op_leopoldt(f, delta, kappa).binomial == _leopoldt_orbit_reference(
                     b, p, n, m, delta, kappa)
-    assert {call.kwargs["exact"] for call in spy.call_args_list} == {exact}
+    assert seen and set(seen) == {not exact}
 
 
 # -- storage: the int64 view against plain loops, and the exact fallback ----
@@ -610,7 +626,8 @@ def test_int64_view_differential(case):
     q, pn = p**m, p**n
     f = RingElem.from_binomial(p, n, m, b)
     g = RingElem.from_binomial(p, n, m, c)
-    assert isinstance(f._bin, np.ndarray) == (pn < 2**31)
+    assert f._bin.dtype == (np.int64 if pn < 2**31 else object)
+    assert not f._bin.flags.writeable
     assert (f * g).binomial == _schoolbook_cyclic(b, c, pn)
     assert op_unit_part(f).binomial == tuple(0 if a % p == 0 else x for a, x in enumerate(b))
     for delta in range(p - 1):
@@ -640,18 +657,30 @@ def test_int64_view_differential(case):
 
 @pytest.mark.parametrize("p, n, m", [(5, 2, 2), (3, 19, 3), (3, 20, 3), (7, 12, 1)])
 def test_views_agree_across_constructors(rng, p, n, m):
+    # p**n on both sides of 2**31: every input form gives the same read-only
+    # view, int64 or Python ints (never numpy scalars in an object view)
     pn = p**n
+    dtype = np.int64 if pn < 2**31 else object
+    big = pn * (2**64 // pn + 1)  # a multiple of p**n above 2**64
     for _ in range(5):
         f = random_monomial_elem(rng, p, n, m)
         b = f.binomial
         assert all(type(x) is int for x in b)
-        if pn < 2**31:
-            assert f._bin.dtype == np.int64 and not f._bin.flags.writeable
         same = (RingElem.from_binomial(p, n, m, list(b)),
                 RingElem.from_binomial(p, n, m, np.array(b, dtype=np.int64)),
-                RingElem.from_binomial(p, n, m, [x - pn for x in b]))
-        for g in same:
+                RingElem.from_binomial(p, n, m, np.array(b, dtype=object)),
+                RingElem.from_binomial(p, n, m, [np.int64(x) for x in b]),
+                RingElem.from_binomial(p, n, m, np.array([np.int64(x) for x in b],
+                                                         dtype=object)),
+                RingElem.from_binomial(p, n, m, [x - pn for x in b]),
+                RingElem.from_binomial(p, n, m, [x + big for x in b]),
+                RingElem.from_binomial(p, n, m, np.array([x - big for x in b], dtype=object)))
+        for g in (f,) + same:
+            assert g._bin.dtype == dtype and not g._bin.flags.writeable
+            if dtype is object:
+                assert all(type(x) is int for x in g._bin)
             assert all(type(x) is int for x in g.binomial)
+            assert g.binomial == b
             assert g == f and hash(g) == hash(f)
         assert f != f + ring_one(p, n, m)
 
