@@ -55,13 +55,6 @@ class DirichletCharacter:
         """chi(a) mod p (0 when gcd(a, d) > 1)."""
         return self.residues[a % self.d]
 
-    def value(self, a: int, precision: int) -> PadicInt:
-        """chi(a) in mu_{p-1}, mod p**precision."""
-        r = self.residue(a)
-        if r == 0:
-            return PadicInt(self.p, precision, 0)
-        return teichmuller(r, self.p, precision)
-
     def label(self) -> str:
         return f"chi[{self.d};" + ",".join(str(r) for r in self.residues) + "]"
 

@@ -46,7 +46,7 @@ from .ring import (
     op_leopoldt,
     taylor_shift,
 )
-from .ring import _Fp, _pdiv_exact
+from .ring import _pdiv_exact
 from .characters import (
     MAX_CONDUCTOR,
     DirichletCharacter,
@@ -250,14 +250,13 @@ def default_check_exponents(theta: ThetaCharacter, count: int = 3) -> list[int]:
 
 
 def iwasawa_invariants(theta: ThetaCharacter, m_max: int = 4, n: int = 2,
-                       check_precision: int | None = None,
-                       check_count: int = 2) -> IwasawaSeriesReport:
+                       check_precision: int | None = None) -> IwasawaSeriesReport:
     """Certify (mu, lambda) of f(T, theta), escalating the omega-level.
 
     Levels m = 1, 2, 4, ... are tried until the invariants certify or the
-    budget runs out; the report carries the interpolation cross-checks and
-    the bound comparisons, and a certified lambda violating the bound is a
-    hard error.
+    budget runs out; the report carries the interpolation cross-checks at
+    the two least positive k = delta mod p-1 and the bound comparisons, and
+    a certified lambda violating the bound is a hard error.
     """
     p = theta.p
     kappa = 1 + p * theta.chi.d
@@ -273,7 +272,7 @@ def iwasawa_invariants(theta: ThetaCharacter, m_max: int = 4, n: int = 2,
         m = m_next
     checks: tuple[InterpolationCheck, ...] = ()
     if check_precision:
-        ks = default_check_exponents(theta, check_count)
+        ks = default_check_exponents(theta, 2)
         checks = tuple(interpolation_selfcheck(
             theta, ks, check_precision,
             f if min(f.n, f.m + 1) >= check_precision else None))
@@ -327,12 +326,12 @@ def f_chi_bar(chi: DirichletCharacter) -> RatFuncFp:
         raise ValueError("conductor must be >= 2")
     num_x = [0] + [chi.residue(a) for a in range(1, d + 1)]
     den_x = [1] + [0] * (d - 1) + [-1]  # 1 - x**d
-    return _normal(_Fp(p), p, num_x, den_x)
+    return _normal(RatFuncFp, p, num_x, den_x)
 
 
 def g_c_bar(p: int, c: int) -> RatFuncFp:
     """Reduction mod p of the conductor-one surrogate G_c = x h_c(x) / S_c(x)."""
-    return _normal(_Fp(p), p, [0] + surrogate_h_poly(c), [1] * c)
+    return _normal(RatFuncFp, p, [0] + surrogate_h_poly(c), [1] * c)
 
 
 @dataclass(frozen=True)
@@ -349,12 +348,11 @@ class PseudoRationalReport:
         return self.denominator_matches and not self.criterion.holds
 
 
-def not_pseudorational_report(chi: DirichletCharacter, delta: int,
-                              c: int = 2) -> PseudoRationalReport:
+def not_pseudorational_report(chi: DirichletCharacter, delta: int) -> PseudoRationalReport:
     """Evidence that the reduced Iwasawa series is not pseudo-rational.
 
     Builds the rational source mod p, confirms its reduced denominator
-    (the d-th cyclotomic polynomial in 1+T; 2+T for the d = 1 surrogate),
+    (the d-th cyclotomic polynomial in 1+T; 2+T for the d = 1 surrogate G_2),
     and runs the symmetrized-polynomial criterion, whose failure witness
     is reported.
     """
@@ -364,9 +362,9 @@ def not_pseudorational_report(chi: DirichletCharacter, delta: int,
         expected = tuple(taylor_shift(cyclotomic_poly(chi.d), 1, p))
         label = chi.label()
     else:
-        fbar = g_c_bar(p, c)
-        expected = tuple(taylor_shift([1] * c, 1, p))
-        label = f"G_{c} (d=1 surrogate)"
+        fbar = g_c_bar(p, 2)
+        expected = tuple(taylor_shift([1, 1], 1, p))
+        label = "G_2 (d=1 surrogate)"
     den = fbar.den
     verdict = sym_poly_criterion(fbar, delta)
     return PseudoRationalReport(label, delta % (p - 1),

@@ -3,7 +3,7 @@
 A value is an integer carried modulo p**N together with its precision N.
 On top of the basic modular arithmetic this module provides the
 Teichmuller lift, the p-adic logarithm on units, exponents with respect
-to a topological generator kappa of 1 + p*Z_p, and p-power valuations.
+to a topological generator kappa of 1 + p*Z_p, and exact division by p**k.
 All functions are pure; values are immutable.
 """
 
@@ -126,19 +126,8 @@ class PadicInt:
     def __add__(self, other: "PadicInt") -> "PadicInt":
         return PadicInt(self.p, self._joint(other), self.value + other.value)
 
-    def __sub__(self, other: "PadicInt") -> "PadicInt":
-        return PadicInt(self.p, self._joint(other), self.value - other.value)
-
     def __mul__(self, other: "PadicInt") -> "PadicInt":
         return PadicInt(self.p, self._joint(other), self.value * other.value)
-
-    def __neg__(self) -> "PadicInt":
-        return PadicInt(self.p, self.precision, -self.value)
-
-    def __pow__(self, k: int) -> "PadicInt":
-        if k < 0:
-            return self.inverse() ** (-k)
-        return PadicInt(self.p, self.precision, pow(self.value, k, self.modulus))
 
     def reduce(self, precision: int) -> "PadicInt":
         """Forget digits down to the given (smaller or equal) precision."""
@@ -156,17 +145,6 @@ class PadicInt:
             raise NotAUnitError(f"{self.value} is divisible by {self.p}")
         return PadicInt(self.p, self.precision, pow(self.value, -1, self.modulus))
 
-    def valuation(self) -> int:
-        """v_p of the residue, capped at the precision (the value 0 returns precision)."""
-        if self.value == 0:
-            return self.precision
-        v = 0
-        x = self.value
-        while x % self.p == 0:
-            x //= self.p
-            v += 1
-        return v
-
     def shift_down(self, k: int) -> "PadicInt":
         """Exact division by p**k; the residue must be divisible by p**k."""
         if k == 0:
@@ -181,17 +159,12 @@ class PadicInt:
         return f"{self.value} (mod {self.p}^{self.precision})"
 
 
-def teichmuller(a: int | PadicInt, p: int | None = None, precision: int | None = None) -> PadicInt:
+def teichmuller(a: int, p: int, precision: int) -> PadicInt:
     """The unique (p-1)-th root of unity congruent to a mod p.
 
     Computed as a**(p**(precision-1)) mod p**precision, the stable limit of
     the Frobenius iteration x -> x**p starting from a.
     """
-    if isinstance(a, PadicInt):
-        p = a.p
-        precision = a.precision if precision is None else precision
-        a = a.value
-    assert p is not None and precision is not None
     if a % p == 0:
         raise NotAUnitError(f"{a} is divisible by {p}, no Teichmuller lift")
     q = p**precision

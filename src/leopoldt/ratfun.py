@@ -15,7 +15,7 @@ criterion's witness is reported in T.  The shift x <-> T keeps the
 leading coefficient and is unimodular over Z, so monic, den(0) != 0 and
 p-integrality mean the same in either basis.  The polynomial arithmetic
 and the shift `taylor_shift` are `ring`'s dense-polynomial helpers, run
-here over `_Fp(p)` or `_QQ`.
+here mod p or, with the modulus None, exactly over Q.
 """
 
 from __future__ import annotations
@@ -26,14 +26,13 @@ from fractions import Fraction
 from .padic import is_odd_prime
 from .ring import (
     RingElem,
-    _Fp,
+    _inv,
     _padd,
     _pdivmod,
     _pgcd_monic,
     _pmul,
     _pscale,
     _psub,
-    _QQ,
     _trim,
     invert_unit,
     op_unit_part,
@@ -70,51 +69,52 @@ class _RatFunc:
 
     @property
     def num(self) -> tuple:
-        return tuple(taylor_shift(self.num_x, 1, self.field.p))
+        return tuple(taylor_shift(self.num_x, 1, self.mod))
 
     @property
     def den(self) -> tuple:
-        return tuple(taylor_shift(self.den_x, 1, self.field.p))
+        return tuple(taylor_shift(self.den_x, 1, self.mod))
 
 
 class RatFuncFp(_RatFunc):
     """Reduced over F_p, den monic with den(0) != 0."""
 
     @property
-    def field(self) -> _Fp:
-        return _Fp(self.p)
+    def mod(self) -> int:
+        """The modulus of the coefficients, p."""
+        return self.p
 
 
 class RatFuncZp(_RatFunc):
     """Reduced over Q with p-integral coefficients, den(0) = 1."""
 
-    @property
-    def field(self) -> _QQ:
-        return _QQ()
+    mod = None  # exact coefficients
 
 
-def _normal(F, p: int, a, b):
-    """The reduced a/b, a and b in x = 1+T over F = `_Fp(p)` or `_QQ`.
+def _normal(cls, p: int, a, b):
+    """The reduced a/b of class `cls` (`RatFuncFp` or `RatFuncZp`), a and b
+    in x = 1+T.
 
     Over F_p the denominator is made monic.  Over Q it is divided by
     b(1) = den(0), a p-adic unit anyway, which keeps every coefficient
     p-integral where a monic scaling would not (e.g. 1 + pT)."""
-    a, b = _trim(a, F.p), _trim(b, F.p)
+    mod = p if cls is RatFuncFp else None
+    a, b = _trim(a, mod), _trim(b, mod)
     if not b:
         raise ZeroDivisionError("zero denominator")
-    g = _pgcd_monic(F, a, b)
+    g = _pgcd_monic(mod, a, b)
     if len(g) > 1:
-        a, b = _pdivmod(F, a, g)[0], _pdivmod(F, b, g)[0]
+        a, b = _pdivmod(mod, a, g)[0], _pdivmod(mod, b, g)[0]
     b1 = sum(b)
-    if F.p:
+    if mod:
         if b1 % p == 0:
             raise NotInPowerSeriesRingError("denominator vanishes at T = 0")
-        lead = F.inv(b[-1])
-        return RatFuncFp(p, tuple(_pscale(F, a, lead)), tuple(_pscale(F, b, lead)))
+        lead = _inv(b[-1], p)
+        return RatFuncFp(p, tuple(_pscale(p, a, lead)), tuple(_pscale(p, b, lead)))
     if b1.numerator % p == 0 or b1.denominator % p == 0:
         raise NotInPowerSeriesRingError("denominator is not a unit at T = 0")
-    inv = F.inv(b1)
-    a, b = _pscale(F, a, inv), _pscale(F, b, inv)
+    inv = _inv(b1, None)
+    a, b = _pscale(None, a, inv), _pscale(None, b, inv)
     if any(c.denominator % p == 0 for c in a + b):
         c = next(c for c in taylor_shift(a, 1, None) + taylor_shift(b, 1, None)
                  if c.denominator % p == 0)
@@ -127,7 +127,7 @@ def rat_fp(num, den, p: int) -> RatFuncFp:
     den(0) must be nonzero."""
     if not is_odd_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
-    return _normal(_Fp(p), p, taylor_shift(num, -1, p), taylor_shift(den, -1, p))
+    return _normal(RatFuncFp, p, taylor_shift(num, -1, p), taylor_shift(den, -1, p))
 
 
 def rat_zp(num, den, p: int) -> RatFuncZp:
@@ -137,7 +137,7 @@ def rat_zp(num, den, p: int) -> RatFuncZp:
         raise ValueError(f"p must be an odd prime, got {p}")
     num = taylor_shift([Fraction(x) for x in num], -1, None)
     den = taylor_shift([Fraction(x) for x in den], -1, None)
-    return _normal(_QQ(), p, num, den)
+    return _normal(RatFuncZp, p, num, den)
 
 
 def rat_is_zero(f) -> bool:
@@ -146,11 +146,11 @@ def rat_is_zero(f) -> bool:
 
 def d_rat(f):
     """D(F) = x F'(x) = x (a'b - ab') / b**2, reduced; x a' multiplies a_i by i."""
-    F = f.field
-    a, b = f.num_x, f.den_x
+    mod, a, b = f.mod, f.num_x, f.den_x
     da = [i * c for i, c in enumerate(a)]
     db = [i * c for i, c in enumerate(b)]
-    return _normal(F, f.p, _psub(F, _pmul(F, da, b), _pmul(F, a, db)), _pmul(F, b, b))
+    return _normal(type(f), f.p, _psub(mod, _pmul(mod, da, b), _pmul(mod, a, db)),
+                   _pmul(mod, b, b))
 
 
 def u_rat(f: RatFuncFp) -> RatFuncFp:
@@ -170,23 +170,22 @@ def u_rat(f: RatFuncFp) -> RatFuncFp:
     if p * (len(b) - 1) > MAX_CARTIER_DEGREE:
         raise ValueError(f"U over F_{p} of a degree-{len(b) - 1} denominator exceeds "
                          f"the degree bound {MAX_CARTIER_DEGREE}")
-    F = _Fp(p)
     den = _spread(b, p)
-    top = _pmul(F, a, _pdivmod(F, den, b)[0])
+    top = _pmul(p, a, _pdivmod(p, den, b)[0])
     for i in range(0, len(top), p):
         top[i] = 0
     if not _trim(top):
         return RatFuncFp(p, (), (1,))
     while True:
-        g = _pgcd_monic(F, b, _pdivmod(F, top, b)[1])
+        g = _pgcd_monic(p, b, _pdivmod(p, top, b)[1])
         if len(g) < 2:
             break
-        den_g, rem = _pdivmod(F, den, g)
+        den_g, rem = _pdivmod(p, den, g)
         if rem:
             break
-        top, den = _pdivmod(F, top, g)[0], den_g
-    lead = F.inv(den[-1])
-    return RatFuncFp(p, tuple(_pscale(F, top, lead)), tuple(_pscale(F, den, lead)))
+        top, den = _pdivmod(p, top, g)[0], den_g
+    lead = _inv(den[-1], p)
+    return RatFuncFp(p, tuple(_pscale(p, top, lead)), tuple(_pscale(p, den, lead)))
 
 
 def _inverted(f):
@@ -198,7 +197,7 @@ def _inverted(f):
 def compose_inv(f):
     """F(iota(T)) with iota(T) = (1+T)**(-1) - 1; iota is x -> 1/x, an involution."""
     e, rev_a, rev_b = _inverted(f)
-    return _normal(f.field, f.p, [0] * max(e, 0) + rev_a, [0] * max(-e, 0) + rev_b)
+    return _normal(type(f), f.p, [0] * max(e, 0) + rev_a, [0] * max(-e, 0) + rev_b)
 
 
 def to_ring_elem(f: RatFuncZp, n: int, m: int) -> RingElem:
@@ -245,13 +244,13 @@ def sym_combination(f, delta: int):
 
     With F(iota) = x**e rev(a) / rev(b), H is built over the one denominator
     x**max(-e, 0) b rev(b) and reduced by one gcd of degree about 2 deg b."""
-    F = f.field
+    mod = f.mod
     e, rev_a, rev_b = _inverted(f)
     sign = -1 if delta % 2 else 1
     a, b = f.num_x, f.den_x
-    num = _padd(F, [0] * max(-e, 0) + _pmul(F, a, rev_b),
-                [0] * max(e, 0) + _pscale(F, _pmul(F, rev_a, b), sign))
-    return _normal(F, f.p, num, [0] * max(-e, 0) + _pmul(F, b, rev_b))
+    num = _padd(mod, [0] * max(-e, 0) + _pmul(mod, a, rev_b),
+                [0] * max(e, 0) + _pscale(mod, _pmul(mod, rev_a, b), sign))
+    return _normal(type(f), f.p, num, [0] * max(-e, 0) + _pmul(mod, b, rev_b))
 
 
 def sym_poly_criterion(f: RatFuncFp, delta: int) -> CriterionVerdict:

@@ -28,7 +28,8 @@ invariant certification needs, and mod p**n for `coeffs` and the series
 report in p**m numpy steps, O(p**(2m)) work.
 
 The dense-polynomial helpers here (`_pmul`, `_pdivmod`, ..., and
-`taylor_shift`) also serve `ratfun` and `lfunc`.
+`taylor_shift`), which take the modulus p or None for exact arithmetic,
+also serve `ratfun` and `lfunc`.
 
 Everything is pure and exact at the stated precision; where an operator
 genuinely loses precision (D, whose multiplier is only known mod p**m) the
@@ -48,6 +49,7 @@ from .padic import (
     NotAUnitError,
     PadicInt,
     PrecisionError,
+    _power_table,
     is_odd_prime,
     kappa_unit_table,
     require_ring_size,
@@ -216,29 +218,13 @@ def ring_one(p: int, n: int, m: int) -> RingElem:
 # -- dense polynomials ----------------------------------------------------
 #
 # Coefficient lists, lowest degree first, without trailing zeros.  The
-# helpers use plain + - * and reduce each result once; the field argument
-# only describes the coefficients: `_Fp(p)` carries the modulus p, `_QQ`
-# none (Fraction coefficients, or ints wherever nothing is divided).
+# helpers use plain + - * and reduce each result once mod p; p = None means
+# exact over Q (Fraction coefficients, or ints wherever nothing is divided).
 
 
-class _Fp:
-    """F_p for the polynomial helpers: results are reduced mod p."""
-
-    def __init__(self, p: int):
-        self.p = p
-
-    def inv(self, x):
-        return pow(x, -1, self.p)
-
-
-class _QQ:
-    """Q for the polynomial helpers (and Z, where nothing is divided)."""
-
-    p = None
-
-    @staticmethod
-    def inv(x):
-        return 1 / Fraction(x)
+def _inv(x, p: int | None):
+    """1/x mod p, or exactly over Q when p is None."""
+    return pow(x, -1, p) if p else 1 / Fraction(x)
 
 
 def _trim(a: list, p: int | None = None) -> list:
@@ -250,22 +236,22 @@ def _trim(a: list, p: int | None = None) -> list:
     return a
 
 
-def _padd(F, a, b) -> list:
+def _padd(p, a, b) -> list:
     out = list(a) + [0] * (len(b) - len(a))
     for i, y in enumerate(b):
         out[i] += y
-    return _trim(out, F.p)
+    return _trim(out, p)
 
 
-def _psub(F, a, b) -> list:
-    return _padd(F, a, [-y for y in b])
+def _psub(p, a, b) -> list:
+    return _padd(p, a, [-y for y in b])
 
 
-def _pscale(F, a, c) -> list:
-    return _trim([c * x for x in a], F.p)
+def _pscale(p, a, c) -> list:
+    return _trim([c * x for x in a], p)
 
 
-def _pmul(F, a, b) -> list:
+def _pmul(p, a, b) -> list:
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -273,15 +259,15 @@ def _pmul(F, a, b) -> list:
         if x:
             for j, y in enumerate(b, i):
                 out[j] += x * y
-    return _trim(out, F.p)
+    return _trim(out, p)
 
 
-def _pdivmod(F, a, b) -> tuple[list, list]:
+def _pdivmod(p, a, b) -> tuple[list, list]:
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    p, lb = F.p, len(b)
+    lb = len(b)
     a = list(a)
-    inv_lead = F.inv(b[-1])
+    inv_lead = _inv(b[-1], p)
     q = [0] * max(len(a) - lb + 1, 0)
     for i in range(len(a) - lb, -1, -1):
         c = a[i + lb - 1] * inv_lead
@@ -294,10 +280,10 @@ def _pdivmod(F, a, b) -> tuple[list, list]:
     return _trim(q), _trim(a[:lb - 1], p)
 
 
-def _pgcd_monic(F, a, b) -> list:
+def _pgcd_monic(p, a, b) -> list:
     while b:
-        a, b = b, _pdivmod(F, a, b)[1]
-    return _pscale(F, a, F.inv(a[-1])) if a else a
+        a, b = b, _pdivmod(p, a, b)[1]
+    return _pscale(p, a, _inv(a[-1], p)) if a else a
 
 
 def _pdiv_exact(a, b) -> list[int]:
@@ -328,7 +314,7 @@ def taylor_shift(coeffs, s: int, p: int | None, n: int = 1) -> list:
     O(deg**2) work in deg numpy steps.  s = -1 flips the odd signs before
     and after there, as P(y - 1) is P(-y) shifted by 1, taken at -y."""
     pn = p**n if p else None
-    a = _trim([c % pn for c in coeffs] if pn else list(coeffs))
+    a = _trim([int(c) % pn for c in coeffs] if pn else list(coeffs))
     if not a:
         return a
     a = np.array(a, dtype=residue_dtype(pn) if pn else object)
@@ -398,15 +384,13 @@ def _divide_binomial(f: RingElem, beta: int, e: int) -> RingElem:
         raise NotAUnitError(f"beta = {beta} or 1 - beta is not a unit")
     e %= q
     length = q // math.gcd(e, q)
-    powers = [1]  # beta**0 .. beta**L
-    for _ in range(length):
-        powers.append(powers[-1] * beta % pn)
+    pw = _power_table(beta, length + 1, pn)  # beta**0 .. beta**L, the view's dtype
+    beta_l = int(pw[-1])
     b = f._bin
-    pw = np.array(powers, dtype=b.dtype)
     orbits = (np.arange(q // length)[:, None] + e * np.arange(length)) % q
     run = (b[orbits] * pw[:0:-1] % pn).cumsum(axis=1) % pn
-    close = run[:, -1:] * pow(1 - powers[-1], -1, pn) % pn  # y_0 - v_0
-    y = (run * pow(powers[-1], -1, pn) + close) % pn * pw[:-1] % pn
+    close = run[:, -1:] * pow(1 - beta_l, -1, pn) % pn  # y_0 - v_0
+    y = (run * pow(beta_l, -1, pn) + close) % pn * pw[:-1] % pn
     out = np.empty(q, dtype=b.dtype)
     out[orbits] = y
     return RingElem._from_reduced(p, n, m, out)
@@ -677,32 +661,31 @@ def decompose_t_power(j: int, p: int) -> list[list[int]]:
     """
     if j < 0:
         raise ValueError("j must be >= 0")
-    Z = _QQ
     deltas = [[1]]  # level 0: T = omega_0 * 1
     for lev in range(j):
         w_lo = _omega_poly(p, lev)
         ratio = _pdiv_exact(_omega_poly(p, lev + 1), w_lo)
         w_pow = [1]  # w_lo**(p-2)
         for _ in range(p - 2):
-            w_pow = _pmul(Z, w_pow, w_lo)
+            w_pow = _pmul(None, w_pow, w_lo)
         t_pow = [0] * (p**lev * (p - 1)) + [1]
-        r = _pdiv_exact(_psub(Z, t_pow, ratio), [p])
-        q = _pdiv_exact(_psub(Z, ratio, _pmul(Z, w_pow, w_lo)), [p])
-        qr = _padd(Z, q, r)
+        r = _pdiv_exact(_psub(None, t_pow, ratio), [p])
+        q = _pdiv_exact(_psub(None, ratio, _pmul(None, w_pow, w_lo)), [p])
+        qr = _padd(None, q, r)
         new = [list(deltas[0])]
-        first = _pmul(Z, r, deltas[0])
+        first = _pmul(None, r, deltas[0])
         pow_p = 1
         for l in range(1, lev + 1):
-            w_gap = _pmul(Z, w_pow, _omega_poly(p, lev - l))
-            first = _padd(Z, first, _pscale(Z, _pmul(Z, w_gap, deltas[l]), pow_p))
+            w_gap = _pmul(None, w_pow, _omega_poly(p, lev - l))
+            first = _padd(None, first, _pscale(None, _pmul(None, w_gap, deltas[l]), pow_p))
             pow_p *= p
         new.append(first)
         for l in range(2, lev + 2):
-            new.append(_pmul(Z, qr, deltas[l - 1]))
+            new.append(_pmul(None, qr, deltas[l - 1]))
         deltas = new
     total: list[int] = []
     for l, d in enumerate(deltas):
-        total = _padd(Z, total, _pscale(Z, _pmul(Z, _omega_poly(p, j - l), d), p**l))
+        total = _padd(None, total, _pscale(None, _pmul(None, _omega_poly(p, j - l), d), p**l))
     expected = [0] * (p**j) + [1]
     if total != expected:
         raise ArithmeticError("decomposition identity failed verification")

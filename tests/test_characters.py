@@ -53,7 +53,7 @@ def test_build_validate_quadratic_mod4():
     chi = build_validate(4, {1: 1, 3: 4}, 5)
     assert chi.is_odd() and set(chi.residues) == {0, 1, 4}  # order 2
     assert chi.residue(3) == 4 and chi.residue(2) == 0
-    assert chi.value(3, 2).value == 24  # -1 mod 25
+    assert teichmuller(chi.residue(3), 5, 2).value == 24  # -1 mod 25
 
 
 def test_trivial_character():

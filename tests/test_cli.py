@@ -284,6 +284,25 @@ def test_indeterminate_exit_code(monkeypatch, capsys):
     assert doc["results"]["indeterminate"] == ["omega^2"]
 
 
+def test_invariants_escalation_exit_codes(tmp_path, capsys):
+    # certified at omega-level 2 with the default budget; exit 2 at --m-max 1
+    from leopoldt.characters import characters_mod
+    chi = characters_mod(164, 3)[0]
+    path = tmp_path / "chi164.json"
+    path.write_text(json.dumps({"p": 3, "d": 164, "values": {
+        str(a): chi.residue(a) - 1 for a in range(1, 164) if chi.residue(a)}}))
+    argv = ["invariants", "--p", "3", "--character-file", str(path), "--delta", "0",
+            "--check-precision", "2"]
+    code, out = run(capsys, *argv)
+    doc = json.loads(out)
+    assert code == 0
+    assert (doc["results"]["lambda"], doc["results"]["level"]) == (3, [2, 2])
+    code, out = run(capsys, *argv, "--m-max", "1")
+    doc = json.loads(out)
+    assert code == 2
+    assert (doc["results"]["verdict"], doc["results"]["level"]) == ("indeterminate", [2, 1])
+
+
 def test_csv_format(capsys):
     code, out = run(capsys, "bounds", "--p", "5", "--d", "1", "--format", "csv")
     assert code == 0

@@ -108,17 +108,17 @@ def test_f_chi_sigma_minus_one_symmetry():
 def test_conductor_one_symmetry_on_rational_form():
     # F = -(1+T)/T satisfies F((1+T)^{-1} - 1) = -1 - F(T) over Q(T)
     from fractions import Fraction
-    from leopoldt.ratfun import _QQ, _padd, _pmul, _pscale, _psub
-    F = _QQ()
+    from leopoldt.ratfun import _padd, _pmul, _pscale, _psub
+    mod = None  # exact over Q
     num = [Fraction(-1), Fraction(-1)]     # -(1+T)
     den = [Fraction(0), Fraction(1)]       # T
     # compose with iota fraction-free: deg 1 homogenization
-    comp_num = _padd(F, _pscale(F, [1, 1], num[0]),
-                     _pmul(F, [Fraction(0), Fraction(-1)], [num[1]]))
-    comp_den = _pmul(F, [Fraction(0), Fraction(-1)], [den[1]])
+    comp_num = _padd(mod, _pscale(mod, [1, 1], num[0]),
+                     _pmul(mod, [Fraction(0), Fraction(-1)], [num[1]]))
+    comp_den = _pmul(mod, [Fraction(0), Fraction(-1)], [den[1]])
     # -1 - F = (-den - num)/den
-    tgt_num = _psub(F, _pscale(F, den, Fraction(-1)), num)
-    assert _pmul(F, comp_num, den) == _pmul(F, tgt_num, comp_den)
+    tgt_num = _psub(mod, _pscale(mod, den, Fraction(-1)), num)
+    assert _pmul(mod, comp_num, den) == _pmul(mod, tgt_num, comp_den)
 
 
 def _h_by_division(c):
@@ -239,6 +239,22 @@ def test_iwasawa_invariants_p37():
     assert rep.invariants.lambda_certified < rep.bound_new
 
 
+def test_iwasawa_invariants_escalates_level():
+    # theta = chi omega, chi the quadratic character of conductor 164 = 4 * 41:
+    # level (2, 1) shows no unit coefficient, level (2, 2) certifies lambda = 3
+    from leopoldt.characters import lp_value
+    theta = ThetaCharacter(characters_mod(164, 3)[0], 0)
+    rep = iwasawa_invariants(theta, check_precision=2)
+    assert rep.certified and rep.invariants.level == (2, 2)
+    assert (rep.invariants.mu_certified, rep.invariants.lambda_certified) == (0, 3)
+    assert [c.k for c in rep.checks] == [2, 4] and all(c.ok for c in rep.checks)
+    # an independent route to lambda >= 1: L_p(-k, theta) = 0 mod p at mu = 0
+    assert all(lp_value(theta, k, 2).value % 3 == 0 for k in (2, 4))
+    stuck = iwasawa_invariants(theta, m_max=1)
+    assert stuck.invariants.verdict == "indeterminate"
+    assert stuck.invariants.level == (2, 1)
+
+
 def test_lambda_sum_p5():
     rep = lambda_sum_cyclotomic(5)
     assert rep.total == 0 and not rep.indeterminate
@@ -280,8 +296,8 @@ def test_not_pseudorational_reports():
 
 
 def _assert_divisible(poly, factor, p):
-    from leopoldt.ratfun import _Fp, _pdivmod
-    q, r = _pdivmod(_Fp(p), list(poly), list(factor))
+    from leopoldt.ratfun import _pdivmod
+    q, r = _pdivmod(p, list(poly), list(factor))
     assert not r, (poly, factor)
 
 

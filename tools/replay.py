@@ -40,8 +40,13 @@ JOBS = 2  # runs at a time, each one single-threaded process
 
 def character_files() -> dict[str, dict]:
     """File name -> character file: a quadratic character of each conductor
-    in NON_SQUARES for each p prime to it, and one file missing a value."""
-    files = {"bad_p5.json": {"p": 5, "d": 4, "values": {"1": 0}}}
+    in NON_SQUARES for each p prime to it, the quadratic character of
+    conductor 164 = 4 * 41 at p = 3, chi(a) = (-1/a) (a/41), and one file
+    missing a value."""
+    files = {"bad_p5.json": {"p": 5, "d": 4, "values": {"1": 0}},
+             "chi164_p3.json": {"p": 3, "d": 164, "values": {
+                 str(a): int((a % 4 == 3) != (pow(a, 20, 41) == 40))
+                 for a in range(1, 164) if math.gcd(a, 164) == 1}}}
     for p in PRIMES[:6]:
         for d, minus in NON_SQUARES.items():
             if d % p:
@@ -137,6 +142,11 @@ def run_list() -> list[list[str]]:
     for flags in (["--theta-omega", "0"], ["--theta-omega", "2", "--m-max", "-1"],
                   ["--theta-omega", "2", "--n", "0"], ["--theta-omega", "2", "--format", "csv"]):
         add(["invariants", "--p", "7"] + flags)
+    # the level escalation: (2, 1) is indeterminate and (2, 2) certifies, so
+    # --m-max 1 exits 2
+    for flags in ([], ["--m-max", "1"]):
+        add(["invariants", "--p", "3", "--character-file", "chi164_p3.json", "--delta", "0",
+             "--check-precision", "2"] + flags)
     # interp-check
     for p in PRIMES[:8]:
         for j in even_j(p):
