@@ -75,6 +75,9 @@ def _load_character(args) -> DirichletCharacter:
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ValueError("character file must hold a JSON object")
+        for key in ("p", "d", "values"):
+            if key not in doc:
+                raise ValueError(f'character file: missing key "{key}"')
         if _file_int(doc["p"], "p") != args.p:
             raise ValueError(f"character file is for p={doc['p']}, not {args.p}")
         d = _file_int(doc["d"], "d")

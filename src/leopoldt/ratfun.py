@@ -7,7 +7,7 @@ rational elements of the power-series ring.  The pseudo-rationality
 operators act on exponents of x: D = (1+T) d/dT is x d/dx, U = D**(p-1)
 in characteristic p is the Cartier projection (see u_rat), and the
 involution T -> (1+T)**(-1) - 1 is x -> 1/x.  mu of Gamma_delta(F) is
-read off the content of exact truncations (see mu_gamma_formula).
+read off exactly over F_p, one factor p at a time (see mu_gamma_formula).
 
 T appears only at the edges: `rat_fp` and `rat_zp` take coefficients in
 T, the `num` and `den` properties read them back in T, and the
@@ -35,7 +35,6 @@ from .ring import (
     _psub,
     _trim,
     invert_unit,
-    op_unit_part,
     taylor_shift,
 )
 
@@ -140,10 +139,6 @@ def rat_zp(num, den, p: int) -> RatFuncZp:
     return _normal(RatFuncZp, p, num, den)
 
 
-def rat_is_zero(f) -> bool:
-    return not f.num_x
-
-
 def d_rat(f):
     """D(F) = x F'(x) = x (a'b - ab') / b**2, reduced; x a' multiplies a_i by i."""
     mod, a, b = f.mod, f.num_x, f.den_x
@@ -200,20 +195,24 @@ def compose_inv(f):
     return _normal(type(f), f.p, [0] * max(e, 0) + rev_a, [0] * max(-e, 0) + rev_b)
 
 
+def _residues(poly, pn: int) -> list[int]:
+    """The p-integral coefficients of `poly` mod pn."""
+    return [c.numerator * pow(c.denominator, -1, pn) % pn for c in poly]
+
+
 def to_ring_elem(f: RatFuncZp, n: int, m: int) -> RingElem:
     """Exact image of a rational Lambda-element in R(n, m).
 
     The denominator has unit constant term, so it is invertible in the
-    quotient and the image of the fraction is num * den**(-1); the x
-    coefficients of each are its binomial view.  A polynomial of more than
-    p**m coefficients is refused: its image would need a reduction."""
+    quotient and the image of the fraction is num * den**(-1).  x**(p**m)
+    is 1 mod omega_m, so x**i goes to binomial slot i mod p**m."""
     p, q, pn = f.p, f.p**m, f.p**n
 
     def image(poly) -> RingElem:
-        if len(poly) > q:
-            raise ValueError(f"{len(poly)} coefficients exceeds p**m = {q}")
-        lifted = [c.numerator * pow(c.denominator, -1, pn) % pn for c in poly]
-        return RingElem.from_binomial(p, n, m, lifted + [0] * (q - len(poly)))
+        slots = [0] * q
+        for i, c in enumerate(_residues(poly, pn)):
+            slots[i % q] += c
+        return RingElem.from_binomial(p, n, m, slots)
 
     return image(f.num_x) * invert_unit(image(f.den_x))
 
@@ -267,43 +266,35 @@ def sym_poly_criterion(f: RatFuncFp, delta: int) -> CriterionVerdict:
 @dataclass(frozen=True)
 class MuFormulaResult:
     mu: int
-    stabilized_at: int  # omega-level where the Gauss content stopped moving
 
 
-def mu_gamma_formula(f: RatFuncZp, delta: int, m_max: int = 6,
-                     n_work: int = 6) -> MuFormulaResult:
-    """mu(Gamma_delta(F)) for rational F via the symmetrized-U content.
+def mu_gamma_formula(f: RatFuncZp, delta: int) -> MuFormulaResult:
+    """mu(Gamma_delta(F)) for rational F: mu(U(H)), H = F + (-1)**delta F(iota),
+    read off exactly over F_p (after Sinnott, Invent. Math. 75, 1984).
 
-    For delta odd or zero this is mu(U(H)) with H = F + (-1)**delta F(iota);
-    for even delta != 0 the constant 2 U(F)(0) is removed first.  U has no
-    rational closed form in characteristic zero, so the content is read off
-    exact truncations at increasing omega-levels until it stabilizes.
+    With h = a/b, b(1) = 1, U(h) mod p is `u_rat`(h mod p): if that is
+    nonzero, mu(U(h)) = 0.  Otherwise h mod p = A/B with A, B in F_p[x**p]
+    (A = 0 when p divides a), U kills the integer lift A~/B~, and
+    U(h) = p U(K) for the p-integral K = (h - A~/B~)/p.  mu counts these
+    rounds.  Each lowers mu(U(h)) >= 0 by 1, so the loop ends unless
+    U(h) = 0, which happens exactly when h lies in Q(x**p): that is refused.
+
+    Even delta != 0 needs no branch of its own.  There 2 U(F)(0) = U(H)(0),
+    and U(H) - U(H)(0) has the content of U(H): it only fills the binomial
+    slot of exponent 0, which U leaves empty, with minus the sum of the
+    other slots.
     """
     p = f.p
-    delta %= p - 1
-    branch_two = (delta % 2 == 0 and delta != 0)
-    combo = sym_combination(f, delta)
-    if rat_is_zero(combo) and not branch_two:
-        raise ValueError("symmetrized combination vanishes: mu is infinite")
-    prev = None
-    for m in range(1, m_max + 1):
-        img = op_unit_part(to_ring_elem(combo, n_work, m))
-        b = list(img.binomial)
-        if branch_two:
-            uf0 = sum(op_unit_part(to_ring_elem(f, n_work, m)).binomial)
-            b[0] -= 2 * uf0
-        pn = p**n_work
-        vals = [x % pn for x in b]
-        v = n_work
-        for x in vals:
-            if x:
-                w = 0
-                while x % p == 0:
-                    x //= p
-                    w += 1
-                v = min(v, w)
-        if v == prev and v < n_work - 1:
-            return MuFormulaResult(v, m)
-        prev = v
-    raise ArithmeticError(
-        f"Gauss content did not stabilize below level {m_max}; raise m_max or n_work")
+    h, mu = sym_combination(f, delta), 0
+    while True:
+        a, b = h.num_x, h.den_x
+        if all(i % p == 0 for poly in (a, b) for i, c in enumerate(poly) if c):
+            raise ValueError("symmetrized combination lies in Q(x**p), so U(H) = 0: "
+                             "mu is infinite")
+        bar = _normal(RatFuncFp, p, _residues(a, p), _residues(b, p))
+        if u_rat(bar).num_x:
+            return MuFormulaResult(mu)
+        lift_a, lift_b = list(bar.num_x), list(bar.den_x)
+        rest = _psub(None, _pmul(None, a, lift_b), _pmul(None, lift_a, b))
+        h = _normal(RatFuncZp, p, _pscale(None, rest, Fraction(1, p)), _pmul(None, b, lift_b))
+        mu += 1

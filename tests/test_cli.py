@@ -97,6 +97,17 @@ def test_malformed_character_file(tmp_path, capsys):
     code = main(["invariants", "--p", "5", "--character-file", str(chi),
                  "--delta", "0"])
     assert code == 1
+    capsys.readouterr()
+    # a missing key is named, not reported as the bare KeyError "error: 'd'"
+    for key in ("p", "d", "values"):
+        doc = {"p": 5, "d": 4, "values": {"1": 0, "3": 2}}
+        del doc[key]
+        chi.write_text(json.dumps(doc))
+        code = main(["pseudo-rational-check", "--p", "5", "--delta", "0",
+                     "--character-file", str(chi)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f'error: character file: missing key "{key}"\n'
 
 
 @pytest.mark.parametrize("doc", [

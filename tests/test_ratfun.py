@@ -20,7 +20,6 @@ from leopoldt.ratfun import (
     d_rat,
     mu_gamma_formula,
     rat_fp,
-    rat_is_zero,
     rat_zp,
     sym_combination,
     sym_poly_criterion,
@@ -118,7 +117,7 @@ def test_zp_keeps_p_integrality():
 def test_derivative_examples():
     for p in (5, 7):
         c = rat_fp([3], [1], p)
-        assert rat_is_zero(d_rat(c))
+        assert not d_rat(c).num_x
     f = rat_fp([1], [1, -1], 5)
     assert d_rat(f) == rat_fp([1, 1], [1, -2, 1], 5)
 
@@ -138,7 +137,7 @@ def test_derivative_matches_ring_truncation(rng):
 def test_unit_part_examples_and_truncation(rng):
     p = 5
     one = rat_fp([1], [1], p)
-    assert rat_is_zero(u_rat(one))
+    assert not u_rat(one).num_x
     lt = rat_fp([1, 1], [1], p)
     assert u_rat(lt) == lt
     # series of U(F) matches the binomial-basis U of the truncation
@@ -197,7 +196,7 @@ def test_u_cartier_matches_derivative_loop(case):
     u = u_rat(f)
     assert u == _u_by_derivative_loop(f)
     if shape == "frobenius":
-        assert rat_is_zero(u)
+        assert not u.num_x
     if shape == "frobenius_plus_poly":
         assert u.den == (1,)
 
@@ -207,7 +206,7 @@ def test_u_cartier_edge_cases():
         zero = rat_fp([], [1], p)
         assert u_rat(zero) == zero == _u_by_derivative_loop(zero)
         for c in range(p):
-            assert rat_is_zero(u_rat(rat_fp([c], [1], p)))
+            assert not u_rat(rat_fp([c], [1], p)).num_x
         # 1/(1+T)**k = x**(-k): U keeps it exactly when p does not divide k
         for k in range(1, 2 * p + 1):
             den = [1]
@@ -442,15 +441,33 @@ def test_x_storage_matches_t_basis_references(case):
         assert to_ring_elem(f, 3, m) == num_img * invert_unit(den_img)
 
 
-def test_mu_formula_refuses_inexact_truncation():
-    # the combination's numerator has 55 coefficients, more than R(6, 1)
-    # holds: the exactness guard in RingElem must refuse, never return mu = 1
+def _assert_pipeline_mu(f, delta, mu):
+    # criterion 7's check: Gamma_delta(F) in R(mu + 2, 3) is p**mu times an
+    # element that certifies (mu = 0)
+    p = f.p
+    img = to_ring_elem(f, mu + 2, 3)
+    gam = op_leopoldt(op_isotypic(op_unit_part(img), -delta), delta, 1 + p)
+    assert all(c % p**mu == 0 for c in gam.coeffs), (f, delta, mu)
+    reduced = RingElem(p, gam.n - mu, gam.m, [c // p**mu for c in gam.coeffs])
+    assert invariants(reduced).certified, (f, delta, mu)
+
+
+def test_mu_formula_exact_where_truncations_cancel():
+    # F = 5x + x**2 - x**27, x = 1+T: truncations mod omega_1 cancel x**27
+    # against x**2 and read a content of 1, but Gamma_delta(F) certifies mu = 0
     p = 5
     num = [5 * math.comb(1, i) + math.comb(2, i) - math.comb(27, i) for i in range(28)]
     f = rat_zp(num, [1], p)
     for delta in (1, 3):
-        with pytest.raises(ValueError, match="exceeds p"):
-            mu_gamma_formula(f, delta)
+        assert mu_gamma_formula(f, delta).mu == 0
+    img = to_ring_elem(f, 4, 3)
+    for delta in range(p - 1):
+        rep = invariants(op_leopoldt(op_isotypic(op_unit_part(img), -delta), delta, 1 + p))
+        assert rep.certified and (rep.mu_certified, rep.lambda_certified) == (0, 5)
+    # to_ring_elem reduces mod omega_m: x**i lands in binomial slot i mod p**m
+    g = rat_zp(num, [1, 2], p)
+    for m in (0, 1, 2):
+        assert to_ring_elem(g, 4, m) == to_ring_elem(g, 4, 3).reduce(m=m)
 
 
 def test_mu_formula_branches(rng):
@@ -460,25 +477,33 @@ def test_mu_formula_branches(rng):
     assert mu_gamma_formula(f, 1).mu == 1
     g = rat_zp([1, 1], [1, 2], p)
     assert mu_gamma_formula(g, 1).mu == 0
-    assert mu_gamma_formula(g, 2).mu == 0  # even branch
-    # agreement with the certified pipeline on random samples
-    kappa = 6
-    for _ in range(10):
-        num = [Fraction(rng.randrange(-6, 7)) for _ in range(3)]
-        den = [Fraction(1), Fraction(rng.randrange(-2, 3))]
-        if all(x == 0 for x in num):
-            num[0] = Fraction(1)
+    assert mu_gamma_formula(g, 2).mu == 0  # even delta != 0
+    # mu above the content of H: (H / p**c) mod p lies in F_p(x**p)
+    for num, den, delta, mu in (([-1, 5, 5], [1], 0, 1), ([10, -25, 30], [1, 0, -2], 0, 2),
+                                ([6, -4, -2], [1, 0, 1], 0, 1), ([4, 1, 3], [1, -1, 2], 2, 1)):
         f = rat_zp(num, den, p)
-        for delta in (0, 1, 2, 3):
-            try:
-                res = mu_gamma_formula(f, delta)
-            except ValueError:
-                continue
-            img = to_ring_elem(f, 4, 3)
-            gam = op_leopoldt(op_isotypic(op_unit_part(img), -delta), delta, kappa)
-            rep = invariants(gam)
-            if rep.certified:
-                assert res.mu == 0
+        assert mu_gamma_formula(f, delta).mu == mu
+        _assert_pipeline_mu(f, delta, mu)
+    # U(H) = 0: H = -6, and H = x**5 + x**-5 for F = x**5, both in Q(x**p)
+    for num in ([-3], [math.comb(5, i) for i in range(6)]):
+        with pytest.raises(ValueError, match="mu is infinite"):
+            mu_gamma_formula(rat_zp(num, [1], p), 0)
+    # agreement with the certified pipeline on random samples
+    for p in (3, 5, 7):
+        for _ in range(8):
+            scale = p ** rng.randrange(3)
+            num = [Fraction(rng.randrange(-6, 7) * scale) for _ in range(3)]
+            den = [Fraction(1)] + [Fraction(rng.randrange(-2, 3)) for _ in range(2)]
+            if all(x == 0 for x in num):
+                num[0] = Fraction(scale)
+            f = rat_zp(num, den, p)
+            for delta in range(p - 1):
+                try:
+                    mu = mu_gamma_formula(f, delta).mu
+                except ValueError as exc:
+                    assert "mu is infinite" in str(exc)
+                    continue
+                _assert_pipeline_mu(f, delta, mu)
 
 
 def test_sinnott_relation_spot():
@@ -495,7 +520,7 @@ def test_sinnott_relation_spot():
         den = _subst_power(f.den, c, p)
         return rat_fp(num, den, p)
     total = rat_add(rat_add(sub_power(r1, 1), sub_power(r2, 2)), sub_power(r3, 1))
-    assert rat_is_zero(total)
+    assert not total.num_x
 
 
 def _subst_power(coeffs, c, p):
