@@ -61,10 +61,14 @@ def _emit(doc: dict, args) -> None:
 
 
 def _file_int(x, what: str) -> int:
-    """An integer of a character file: a JSON integer or a string of one."""
+    """An integer of a character file: a JSON integer or a string of one;
+    `what` names the entry in the refusal."""
     if isinstance(x, str):
-        return int(x)
-    if isinstance(x, int) and not isinstance(x, bool):
+        try:
+            return int(x)
+        except ValueError:
+            pass
+    elif isinstance(x, int) and not isinstance(x, bool):
         return x
     raise ValueError(f"character file: {what} must be an integer, got {json.dumps(x)}")
 
@@ -85,7 +89,8 @@ def _load_character(args) -> DirichletCharacter:
         if not isinstance(values, dict):
             raise ValueError("character file: values must be an object")
         return character_from_omega_exponents(
-            d, {int(a): _file_int(e, f"value of {a}") for a, e in values.items()}, args.p)
+            d, {_file_int(a, "key of values"): _file_int(e, f"value of {a}")
+                for a, e in values.items()}, args.p)
     return trivial_character(args.p)
 
 

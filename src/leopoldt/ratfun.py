@@ -95,8 +95,12 @@ def _normal(cls, p: int, a, b):
     in x = 1+T.
 
     Over F_p the denominator is made monic.  Over Q it is divided by
-    b(1) = den(0), a p-adic unit anyway, which keeps every coefficient
-    p-integral where a monic scaling would not (e.g. 1 + pT)."""
+    b(1) = den(0), which keeps every coefficient p-integral where a monic
+    scaling would not (e.g. 1 + pT).  b(1) may carry a factor p that the
+    numerator shares (297 (1 + x**2) / (9x**2 - 15x + 9) at p = 3), so
+    p-integrality is checked after the scaling.  A coefficient left with p
+    in its denominator is refused as a den(0) that is not a unit when p
+    divides b(1), and as a coefficient that is not p-integral otherwise."""
     mod = p if cls is RatFuncFp else None
     a, b = _trim(a, mod), _trim(b, mod)
     if not b:
@@ -110,11 +114,13 @@ def _normal(cls, p: int, a, b):
             raise NotInPowerSeriesRingError("denominator vanishes at T = 0")
         lead = _inv(b[-1], p)
         return RatFuncFp(p, tuple(_pscale(p, a, lead)), tuple(_pscale(p, b, lead)))
-    if b1.numerator % p == 0 or b1.denominator % p == 0:
-        raise NotInPowerSeriesRingError("denominator is not a unit at T = 0")
+    if b1 == 0:
+        raise NotInPowerSeriesRingError("denominator vanishes at T = 0")
     inv = _inv(b1, None)
     a, b = _pscale(None, a, inv), _pscale(None, b, inv)
     if any(c.denominator % p == 0 for c in a + b):
+        if b1.numerator % p == 0:
+            raise NotInPowerSeriesRingError("denominator is not a unit at T = 0")
         c = next(c for c in taylor_shift(a, 1, None) + taylor_shift(b, 1, None)
                  if c.denominator % p == 0)
         raise ValueError(f"coefficient {c} is not p-integral at p={p}")
@@ -131,7 +137,8 @@ def rat_fp(num, den, p: int) -> RatFuncFp:
 
 def rat_zp(num, den, p: int) -> RatFuncZp:
     """Canonical form over Q of num/den, given in T: reduced, den(0) = 1,
-    coefficients p-integral; den(0) must be a p-adic unit."""
+    coefficients p-integral; refused when that form does not exist (3/(3 + 3T)
+    is 1/(1 + T), but 1/(5 + T) at p = 5 is refused)."""
     if not is_odd_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     num = taylor_shift([Fraction(x) for x in num], -1, None)

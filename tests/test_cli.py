@@ -108,6 +108,17 @@ def test_malformed_character_file(tmp_path, capsys):
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err == f'error: character file: missing key "{key}"\n'
+    # a key or a string value that is not an integer is named, not reported
+    # as the bare "invalid literal for int() with base 10"
+    for values, message in (({"x": 0}, 'key of values must be an integer, got "x"'),
+                            ({"1": "one", "3": 2},
+                             'value of 1 must be an integer, got "one"')):
+        chi.write_text(json.dumps({"p": 5, "d": 4, "values": values}))
+        code = main(["pseudo-rational-check", "--p", "5", "--delta", "0",
+                     "--character-file", str(chi)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: character file: {message}\n"
 
 
 @pytest.mark.parametrize("doc", [

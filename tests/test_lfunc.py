@@ -7,6 +7,7 @@ from leopoldt.characters import (
     enumerate_even_theta,
     trivial_character,
 )
+from leopoldt import lfunc
 from leopoldt.lfunc import (
     bounds,
     cyclotomic_poly,
@@ -293,6 +294,27 @@ def test_not_pseudorational_reports():
     rep1 = not_pseudorational_report(triv, 1)
     assert rep1.denominator_matches and not rep1.criterion.holds
     _assert_divisible(rep1.criterion.witness, (2, 1), 5)
+
+
+# the criterion workload's (p, d) classes, then conductor one (the G_2 route)
+REPORT_CLASSES = ((13, 5), (13, 7), (17, 5), (19, 7), (23, 3), (29, 3),
+                  (5, 1), (7, 1), (13, 1))
+
+
+def test_report_cache_keyed_on_chi_and_parity():
+    # a warm scan of every delta equals reports built from a cleared cache,
+    # and one chi's scan computes one report per parity of delta
+    parts = lfunc._report_parts
+    for p, d in REPORT_CLASSES:
+        for chi in characters_mod(d, p) if d > 1 else [trivial_character(p)]:
+            cold = []
+            for delta in range(p - 1):
+                parts.cache_clear()
+                cold.append(not_pseudorational_report(chi, delta))
+            parts.cache_clear()
+            warm = [not_pseudorational_report(chi, delta) for delta in range(p - 1)]
+            assert warm == cold, chi
+            assert parts.cache_info().misses == 2, chi
 
 
 def _assert_divisible(poly, factor, p):

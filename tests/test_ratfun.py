@@ -506,6 +506,27 @@ def test_mu_formula_branches(rng):
                 _assert_pipeline_mu(f, delta, mu)
 
 
+def test_normal_scales_out_a_p_shared_with_the_numerator():
+    # F = 99/(1 + T + 3T**2) at p = 3: the monic gcd of H's numerator and
+    # doubled denominator leaves H = 297 (1 + x**2) / (9x**2 - 15x + 9), whose
+    # b(1) = 3 divides every numerator coefficient, so H is p-integral
+    f = rat_zp([99], [1, 1, 3], 3)
+    h = sym_combination(f, 0)
+    assert h.num_x == (99, 0, 99) and h.den_x == (3, -5, 3)
+    for delta in (0, 1):
+        mu = mu_gamma_formula(f, delta).mu
+        assert mu == 2
+        _assert_pipeline_mu(f, delta, mu)
+    assert rat_zp([3], [3, 3], 3) == rat_zp([1], [1, 1], 3)
+    # a p in b(1) that a coefficient keeps is still refused as a non-unit
+    # den(0), and a non-p-integral coefficient with a unit b(1) as such
+    with pytest.raises(NotInPowerSeriesRingError, match="not a unit at T = 0"):
+        rat_zp([1], [5, 1], 5)
+    with pytest.raises(ValueError, match="1/5 is not p-integral") as exc:
+        rat_zp([Fraction(1, 5)], [1], 5)
+    assert exc.type is ValueError
+
+
 def test_sinnott_relation_spot():
     # hand-built relation: (x-1) - (x^2-1) + ((x-1)^2 + (x-1)) = 0 with
     # integer multipliers c in {1, 2}; all integers are rational multiples

@@ -162,8 +162,12 @@ def run_list() -> list[list[str]]:
     for p in PRIMES[:9]:
         for j in even_j(p):
             add(["pseudo-rational-check", "--p", str(p), "--theta-omega", str(j)])
-    for flags in chars(PRIMES[:6]):
-        add(["pseudo-rational-check"] + flags)
+    # every delta, odd theta too: the report is cached per (chi, delta mod 2)
+    for name, doc in character_files().items():
+        if name != "bad_p5.json":
+            for delta in range(doc["p"] - 1):
+                add(["pseudo-rational-check", "--p", str(doc["p"]), "--delta", str(delta),
+                     "--character-file", name])
     add(["pseudo-rational-check", "--p", "5", "--theta-omega", "1"])
     add(["pseudo-rational-check", "--p", "5", "--theta-omega", "2", "--delta", "3"])
     # selftest, the exact path at the last four
